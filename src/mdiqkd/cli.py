@@ -9,7 +9,6 @@ full result is formatted, so a nonzero exit never leaves a partial file.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bsa import BellOutcome, BsaInput, DetectorModel, coherent_click_probs, fock_bsa_oracle
@@ -25,6 +24,7 @@ from .decoy import (
 from .io_formats import (
     FormatError,
     ResultReport,
+    _write_atomic,
     file_digest,
     format_counts,
     format_hom_table,
@@ -59,15 +59,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(text, path)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -166,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, help="override the config seed")
     sim.add_argument("--pulses", type=_positive_int, help="override the gate count")
     sim.add_argument(
-        "--workers", type=_positive_int, default=1, help="parallel batch workers"
+        "--workers", type=_positive_int, default=1, help="ignored; accepted for old scripts"
     )
     _add_common_output(sim)
     sim.set_defaults(func=_cmd_simulate)

@@ -162,8 +162,8 @@ def secret_key_rate(
     q11: float, e11: float, q_rect: float, e_rect: float, f_ec: float = DEFAULT_F_EC
 ) -> float:
     """Secret fraction per gate from the single-photon and error-correction terms."""
-    if f_ec < 1.0:
-        raise ParameterError(f"f_ec must be >= 1, got {f_ec!r}")
+    if not (math.isfinite(f_ec) and f_ec >= 1.0):
+        raise ParameterError(f"f_ec must be finite and >= 1, got {f_ec!r}")
     return q11 * (1.0 - shannon_entropy(e11)) - q_rect * shannon_entropy(e_rect) * f_ec
 
 

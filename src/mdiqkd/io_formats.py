@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import os
 import warnings as _warnings
 
 import numpy as np
@@ -66,6 +67,22 @@ def file_digest(path: str) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_atomic(text: str, path: str) -> None:
+    """Write text to path through a temporary file and a rename.
+
+    A failed write leaves neither a partial target nor the temporary file.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _fmt_float(value: float) -> str:
@@ -346,9 +363,7 @@ def parse_counts(text: str, strict: bool = False, source: str = "<string>") -> C
 
 def save_counts(tables: CountTables, path: str) -> None:
     """Write count tables in canonical form."""
-    text = format_counts(tables)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write_atomic(format_counts(tables), path)
 
 
 def load_counts(path: str, strict: bool = False) -> CountTables:
@@ -435,9 +450,7 @@ def parse_gains(
 
 def save_gains(matrices: GainErrorMatrices, path: str) -> None:
     """Write gain and error matrices in canonical form."""
-    text = format_gains(matrices)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write_atomic(format_gains(matrices), path)
 
 
 def load_gains(path: str, strict: bool = False) -> GainErrorMatrices:
@@ -491,9 +504,7 @@ def format_report(report: ResultReport) -> str:
 
 def save_report(report: ResultReport, path: str) -> None:
     """Write an analysis report in canonical form."""
-    text = format_report(report)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write_atomic(format_report(report), path)
 
 
 # Interference-scan tables.

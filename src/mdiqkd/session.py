@@ -1,26 +1,26 @@
 """Protocol session simulation: pulse preparation, analyzer sampling, tallies.
 
-The gate stream is partitioned into fixed-size batches.  Batch k draws its
-randomness from four dedicated PCG64 streams seeded as
-SeedSequence(master_seed, spawn_key=(k, s)) with s = 0 (sender A preparation,
-one uniform per gate), 1 (sender B preparation, one uniform per gate),
-2 (polarization flips, one uniform per gate per channel with nonzero
-misalignment, channel A first), 3 (detector outcome, one uniform per gate).
-Counts merge additively as int64, so results are bit-identical for a fixed
-(seed, pulses, batch_gates) regardless of how batches are spread over workers.
+Gates are independent and identically distributed, so a session's tallies
+follow one known multinomial law, and run_session draws them from it
+directly rather than gate by gate.  Each agreeing-basis cell's column law is
+the analyzer's 16-pattern response mixed over the misalignment flips and
+folded into the seven tallied columns (c12, c34, c14, c23, c13, c24, other).
+Mismatched-basis gates are counted in pulses_sent but their detector
+outcomes are not tabulated (they are discarded at sifting).
+
+Random mode makes one multinomial draw over 144 cells x 8 outcomes: the
+seven columns plus "not tallied", which holds a mismatched-basis cell's
+pulses.  Sweep mode sends a fixed number of gates to each of its 72 slots and
+draws one multinomial per slot.  Both use a single PCG64 stream seeded with
+SeedSequence(seed), so results are bit-identical for a fixed (seed, pulses).
 
 Cell indexing: intensity pair (ia, ib) with 0 = signal, 1 = decoy, 2 = vacuum,
 and state codes (sa, sb) in H=0, V=1, +45=2, -45=3.  The flat cell index is
-((ia * 3 + ib) * 4 + sa) * 4 + sb in [0, 144).  Detector outcomes are sampled
-over the analyzer's 16 click patterns, then folded into the seven tallied
-columns (c12, c34, c14, c23, c13, c24, other).  Mismatched-basis gates are
-counted in pulses_sent but their detector outcomes are not tabulated (they
-are discarded at sifting).
+((ia * 3 + ib) * 4 + sa) * 4 + sb in [0, 144).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 
@@ -70,6 +70,12 @@ SWEEP_SLOTS: tuple[tuple[int, int, int, int], ...] = tuple(
     for ib in range(N_CLASSES)
     for sa, sb in SWEEP_SOP_PAIRS
 )
+_SWEEP_CELLS = np.ravel_multi_index(
+    tuple(np.transpose(SWEEP_SLOTS)), (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS)
+)
+_MISMATCHED = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=bool)
+_MISMATCHED[:, :, :2, 2:] = True
+_MISMATCHED[:, :, 2:, :2] = True
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -88,9 +94,7 @@ class SessionConfig:
             in random mode.
         mode: "random" (independent choices per gate) or "sweep" (deterministic
             cycle through the 72 agreeing-basis configurations).
-        batch_gates: batch size of the deterministic gate partition.  Part of
-            the reproducibility contract: results are bit-identical only for
-            equal (seed, pulses, batch_gates).
+        batch_gates: ignored; accepted for old configs.  It must be >= 1.
         repetition_rate_hz: gate rate, used only to convert to wall-clock units.
     """
 
@@ -202,130 +206,51 @@ class CountTables:
         return int(self.counts[ia, ib, sa, sb, :4].sum())
 
 
-@dataclasses.dataclass(frozen=True)
-class _EngineSpec:
-    """Picklable precomputed sampling tables for the batch workers."""
+def _outcome_law(config: SessionConfig) -> np.ndarray:
+    """P(outcome | prepared cell), shape (144, 8).
 
-    pulses: int
-    seed: int
-    batch_gates: int
-    mode: str
-    prep_cum: np.ndarray
-    mis_a: float
-    mis_b: float
-    pattern_grid: np.ndarray
-    sweep_slots: np.ndarray
-
-
-def _cell_pattern_cdfs(config: SessionConfig) -> np.ndarray:
-    """Cumulative 16-pattern distributions for all 144 cells, first 15 entries."""
+    Outcomes are the seven COUNT_COLUMNS plus "not tallied", which holds a
+    mismatched-basis cell's pulses.  Misalignment flips each link's prepared
+    state to its orthogonal partner in the same basis (sop ^ 1) before the
+    analyzer, so an agreeing cell's column law mixes the analyzer responses
+    of the four flip combinations.
+    """
     mus_a = [attenuate(c.mu, config.channel_a.loss_db) for c in config.classes]
     mus_b = [attenuate(c.mu, config.channel_b.loss_db) for c in config.classes]
     overlap = config.channel_a.temporal_overlap * config.channel_b.temporal_overlap
-    cdf15 = np.empty((N_CELLS, PATTERN_COUNT - 1))
-    for ia in range(N_CLASSES):
-        for ib in range(N_CLASSES):
-            for sa in range(N_SOPS):
-                for sb in range(N_SOPS):
-                    response = coherent_click_probs(
-                        BsaInput(
-                            mu_a=mus_a[ia],
-                            mu_b=mus_b[ib],
-                            sop_a=SOP_BY_CODE[sa],
-                            sop_b=SOP_BY_CODE[sb],
-                            overlap=overlap,
-                        ),
-                        config.detector,
-                    )
-                    probs = response.pattern_probs
-                    cell = ((ia * N_CLASSES + ib) * N_SOPS + sa) * N_SOPS + sb
-                    cdf15[cell] = np.cumsum(probs / probs.sum())[:-1]
-    return cdf15
+    seen = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS + 1))
+    seen[_MISMATCHED, N_COLUMNS] = 1.0
+    for ia, ib, sa, sb in zip(*np.nonzero(~_MISMATCHED)):
+        probs = coherent_click_probs(
+            BsaInput(
+                mu_a=mus_a[ia],
+                mu_b=mus_b[ib],
+                sop_a=SOP_BY_CODE[sa],
+                sop_b=SOP_BY_CODE[sb],
+                overlap=overlap,
+            ),
+            config.detector,
+        ).pattern_probs
+        seen[ia, ib, sa, sb, :N_COLUMNS] = np.bincount(
+            _FOLD, weights=probs / probs.sum(), minlength=N_COLUMNS
+        )
+    mis_a = config.channel_a.misalignment
+    mis_b = config.channel_b.misalignment
+    sops = np.arange(N_SOPS)
+    law = np.zeros_like(seen)
+    for flip_a, weight_a in ((0, 1.0 - mis_a), (1, mis_a)):
+        for flip_b, weight_b in ((0, 1.0 - mis_b), (1, mis_b)):
+            law += weight_a * weight_b * seen[:, :, sops ^ flip_a][:, :, :, sops ^ flip_b]
+    law = law.reshape(N_CELLS, N_COLUMNS + 1)
+    return law / law.sum(axis=1, keepdims=True)
 
 
-def _pattern_grid(cdf15: np.ndarray) -> np.ndarray:
-    """Flatten per-cell pattern CDFs into one sorted grid for searchsorted.
-
-    Entry (cell * 15 + k) holds cell + cdf15[cell, k], so looking up
-    cell + uniform with side="right" and subtracting cell * 15 inverts the
-    cell's CDF in a single vectorized call.
-    """
-    return (np.arange(cdf15.shape[0])[:, None] + cdf15).ravel()
-
-
-def _prep_cum(class_probs, rect_prob: float) -> np.ndarray:
-    """Joint CDF over the 12 (intensity, state) preparation outcomes."""
-    sop_probs = np.array(
-        [rect_prob / 2.0, rect_prob / 2.0, (1.0 - rect_prob) / 2.0, (1.0 - rect_prob) / 2.0]
-    )
-    cum = np.cumsum(np.outer(np.asarray(class_probs, dtype=float), sop_probs).ravel())
-    cum[-1] = 1.0
-    return cum
-
-
-def _batch_stream(seed: int, batch: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(batch, stream)))
-    )
-
-
-def _run_batch(spec: _EngineSpec, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    start = batch * spec.batch_gates
-    n_gates = min(spec.batch_gates, spec.pulses - start)
-    gen_flip = _batch_stream(spec.seed, batch, 2)
-    gen_det = _batch_stream(spec.seed, batch, 3)
-
-    if spec.mode == MODE_RANDOM:
-        gen_a = _batch_stream(spec.seed, batch, 0)
-        gen_b = _batch_stream(spec.seed, batch, 1)
-        prep_a = np.searchsorted(spec.prep_cum, gen_a.random(n_gates), side="right")
-        prep_b = np.searchsorted(spec.prep_cum, gen_b.random(n_gates), side="right")
-        ia = prep_a >> 2
-        ib = prep_b >> 2
-        sop_a = prep_a & 3
-        sop_b = prep_b & 3
-    else:
-        slot = (start + np.arange(n_gates, dtype=np.int64)) % len(SWEEP_SLOTS)
-        ia = spec.sweep_slots[slot, 0]
-        ib = spec.sweep_slots[slot, 1]
-        sop_a = spec.sweep_slots[slot, 2].copy()
-        sop_b = spec.sweep_slots[slot, 3].copy()
-
-    # Tables are indexed by the prepared states; misalignment flips only the
-    # states the analyzer sees.  Flips stay within the prepared basis.
-    phys_a = sop_a
-    phys_b = sop_b
-    if spec.mis_a > 0.0:
-        phys_a = sop_a ^ (gen_flip.random(n_gates) < spec.mis_a)
-    if spec.mis_b > 0.0:
-        phys_b = sop_b ^ (gen_flip.random(n_gates) < spec.mis_b)
-
-    cell = ((ia * N_CLASSES + ib) * N_SOPS + sop_a) * N_SOPS + sop_b
-    phys_cell = ((ia * N_CLASSES + ib) * N_SOPS + phys_a) * N_SOPS + phys_b
-    pulses_sent = np.bincount(cell, minlength=N_CELLS)
-
-    uniforms = gen_det.random(n_gates)
-    agree = (sop_a ^ sop_b) < 2
-    cells_kept = cell[agree]
-    phys_kept = phys_cell[agree]
-    lookup = np.searchsorted(spec.pattern_grid, phys_kept + uniforms[agree], side="right")
-    patterns = lookup - phys_kept * (PATTERN_COUNT - 1)
-    counts = np.bincount(
-        cells_kept * N_COLUMNS + _FOLD[patterns], minlength=N_CELLS * N_COLUMNS
-    )
-    return pulses_sent, counts
-
-
-def _run_batch_range(
-    spec: _EngineSpec, batches: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    pulses_sent = np.zeros(N_CELLS, dtype=np.int64)
-    counts = np.zeros(N_CELLS * N_COLUMNS, dtype=np.int64)
-    for batch in batches:
-        batch_pulses, batch_counts = _run_batch(spec, batch)
-        pulses_sent += batch_pulses
-        counts += batch_counts
-    return pulses_sent, counts
+def _preparation_law(config: SessionConfig) -> np.ndarray:
+    """P(prepared cell) in random mode, shape (144,); the senders choose independently."""
+    rect = config.rect_prob
+    sop_probs = [rect / 2.0, rect / 2.0, (1.0 - rect) / 2.0, (1.0 - rect) / 2.0]
+    per_side = np.outer(config.class_probs, sop_probs)
+    return np.einsum("ik,jl->ijkl", per_side, per_side).ravel()
 
 
 def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
@@ -333,37 +258,21 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
 
     Args:
         config: session configuration.
-        workers: process count for batch execution.  The result is
-            bit-identical for any worker count.
+        workers: accepted for old callers and ignored; it must be >= 1.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    spec = _EngineSpec(
-        pulses=config.pulses,
-        seed=config.seed,
-        batch_gates=config.batch_gates,
-        mode=config.mode,
-        prep_cum=_prep_cum(config.class_probs, config.rect_prob),
-        mis_a=config.channel_a.misalignment,
-        mis_b=config.channel_b.misalignment,
-        pattern_grid=_pattern_grid(_cell_pattern_cdfs(config)),
-        sweep_slots=np.asarray(SWEEP_SLOTS, dtype=np.int64),
-    )
-    n_batches = (config.pulses + config.batch_gates - 1) // config.batch_gates
-    assignments = [list(range(w, n_batches, workers)) for w in range(workers)]
-    assignments = [a for a in assignments if a]
-
-    pulses_sent = np.zeros(N_CELLS, dtype=np.int64)
-    counts = np.zeros(N_CELLS * N_COLUMNS, dtype=np.int64)
-    if len(assignments) <= 1:
-        pulses_sent, counts = _run_batch_range(spec, list(range(n_batches)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    law = _outcome_law(config)
+    if config.mode == MODE_RANDOM:
+        pvals = (_preparation_law(config)[:, None] * law).ravel()
+        table = rng.multinomial(config.pulses, pvals / pvals.sum()).reshape(N_CELLS, -1)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(assignments)) as pool:
-            futures = [pool.submit(_run_batch_range, spec, a) for a in assignments]
-            for future in futures:
-                part_pulses, part_counts = future.result()
-                pulses_sent += part_pulses
-                counts += part_counts
+        # Gate g goes to slot g mod 72, so each slot's pulse count is fixed.
+        n_slots = len(SWEEP_SLOTS)
+        slot_pulses = (config.pulses - np.arange(n_slots) + n_slots - 1) // n_slots
+        table = np.zeros((N_CELLS, N_COLUMNS + 1), dtype=np.int64)
+        table[_SWEEP_CELLS] = rng.multinomial(slot_pulses, law[_SWEEP_CELLS])
 
     return CountTables(
         class_labels=tuple(c.label for c in config.classes),
@@ -371,8 +280,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
         pulses_total=config.pulses,
         seed=config.seed,
         mode=config.mode,
-        pulses_sent=pulses_sent.reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS),
-        counts=counts.reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS),
+        pulses_sent=table.sum(axis=1).reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS),
+        counts=table[:, :N_COLUMNS].reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS),
         repetition_rate_hz=config.repetition_rate_hz,
     )
 
@@ -380,11 +289,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
 def sift(tables: CountTables) -> CountTables:
     """Drop mismatched-basis cells, keeping agreeing-basis pulses and counts."""
     out = tables.copy()
-    for sa in range(N_SOPS):
-        for sb in range(N_SOPS):
-            if (sa >> 1) != (sb >> 1):
-                out.pulses_sent[:, :, sa, sb] = 0
-                out.counts[:, :, sa, sb, :] = 0
+    out.pulses_sent[_MISMATCHED] = 0
+    out.counts[_MISMATCHED] = 0
     out.sifted = True
     return out
 

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from test_decoy import (
     REFERENCE_Q_RECT,
 )
 
+import mdiqkd
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
@@ -99,6 +103,19 @@ def test_help_exits_zero(capsys) -> None:
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path) -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdiqkd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdiqkd.cli", "table1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("single-photon and weak-coherent analyzer response")
 
 
 def test_unknown_flag_exits_one(capsys) -> None:

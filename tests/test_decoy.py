@@ -128,8 +128,9 @@ def test_secret_key_rate_reference_reduction() -> None:
     assert rate == pytest.approx(expected, rel=1e-12)
     assert rate == pytest.approx(9.919847927624202e-07, rel=1e-12)
     assert 0.9e-6 <= rate <= 1.1e-6
-    with pytest.raises(ParameterError):
-        secret_key_rate(1e-6, 0.02, 1e-5, 0.057, f_ec=0.99)
+    for f_ec in (0.99, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            secret_key_rate(1e-6, 0.02, 1e-5, 0.057, f_ec=f_ec)
 
 
 def geometric_gains(y0: float, mus=REFERENCE_MUS) -> np.ndarray:

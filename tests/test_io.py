@@ -1,6 +1,7 @@
 """Text formats: round trips, version gates, strictness, config parsing."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -187,6 +188,30 @@ def test_gains_unknown_mu_and_bad_entries() -> None:
     bad = text.replace(" 0.03 ", " 1.25 ", 1)
     with pytest.raises(FormatError):
         parse_gains(bad)
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch) -> None:
+    # The rename is the last step of a save: when it fails, the temporary file
+    # is removed and an existing target keeps its old bytes.
+    matrices = geometric_matrices()
+    saves = (
+        (save_counts, small_tables()),
+        (save_gains, matrices),
+        (save_report, ResultReport(result=analyze_matrices(matrices))),
+    )
+    old = tmp_path / "old.txt"
+    old.write_text("previous\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for save, value in saves:
+        for target in (tmp_path / "new.txt", old):
+            with pytest.raises(OSError):
+                save(value, str(target))
+    assert [path.name for path in tmp_path.iterdir()] == ["old.txt"]
+    assert old.read_text(encoding="utf-8") == "previous\n"
 
 
 def test_report_layout_and_precision() -> None:

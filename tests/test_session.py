@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from mdiqkd.bsa import BsaInput, DetectorModel, coherent_click_probs
+from mdiqkd.bsa import COINCIDENCE_PATTERNS, BsaInput, DetectorModel, coherent_click_probs
 from mdiqkd.optics import ChannelModel, ParameterError, SOP_BY_CODE, attenuate, standard_classes
 from mdiqkd.session import (
     COUNT_COLUMNS,
@@ -43,6 +44,9 @@ def test_worker_count_does_not_change_results() -> None:
     single = run_session(config, workers=1)
     double = run_session(config, workers=2)
     assert single == double
+    for batch_gates in (1, 999_983):
+        other = dataclasses.replace(config, batch_gates=batch_gates)
+        assert run_session(other, workers=3) == single
 
 
 def test_worker_count_beyond_batches() -> None:
@@ -141,6 +145,76 @@ def test_empirical_gain_matches_population() -> None:
     assert abs(k / n - p) < Z_LIMIT * sigma
 
 
+def per_gate_tallies(config: SessionConfig, seed: int) -> np.ndarray:
+    """Reference sampler: draw every gate's preparation, flips and click pattern.
+
+    Returns the (144, 8) table of run_session's multinomial: the seven count
+    columns per cell, then the pulses whose outcome is not tallied.
+    """
+    rng = np.random.default_rng(seed)
+    n = config.pulses
+    if config.mode == "sweep":
+        ia, ib, sa, sb = np.asarray(SWEEP_SLOTS)[np.arange(n) % len(SWEEP_SLOTS)].T
+    else:
+        r = config.rect_prob
+        prep = np.outer(config.class_probs, [r / 2, r / 2, (1 - r) / 2, (1 - r) / 2]).ravel()
+        ia, sa = np.divmod(rng.choice(12, size=n, p=prep), 4)
+        ib, sb = np.divmod(rng.choice(12, size=n, p=prep), 4)
+    seen_a = sa ^ (rng.random(n) < config.channel_a.misalignment)
+    seen_b = sb ^ (rng.random(n) < config.channel_b.misalignment)
+    fold = np.full(16, 6)
+    for name, pattern in COINCIDENCE_PATTERNS.items():
+        fold[pattern] = COUNT_COLUMNS.index(name.lower())
+    column = np.full(n, 7)
+    agree = (sa >> 1) == (sb >> 1)
+    seen = np.ravel_multi_index((ia, ib, seen_a, seen_b), (3, 3, 4, 4))
+    for key in np.unique(seen[agree]):
+        gates = agree & (seen == key)
+        ka, kb, pa, pb = np.unravel_index(key, (3, 3, 4, 4))
+        mu_a = attenuate(config.classes[ka].mu, config.channel_a.loss_db)
+        mu_b = attenuate(config.classes[kb].mu, config.channel_b.loss_db)
+        probs = coherent_click_probs(
+            BsaInput(mu_a, mu_b, SOP_BY_CODE[pa], SOP_BY_CODE[pb]), config.detector
+        ).pattern_probs
+        column[gates] = fold[rng.choice(16, size=int(gates.sum()), p=probs / probs.sum())]
+    cell = np.ravel_multi_index((ia, ib, sa, sb), (3, 3, 4, 4))
+    return np.bincount(cell * 8 + column, minlength=144 * 8).reshape(144, 8)
+
+
+def session_tallies(tables: CountTables) -> np.ndarray:
+    counts = tables.counts.reshape(144, 7)
+    untallied = tables.pulses_sent.reshape(144) - counts.sum(axis=1)
+    return np.column_stack([counts, untallied])
+
+
+@pytest.mark.parametrize("mode", ["random", "sweep"])
+def test_table_sampler_matches_per_gate_reference(mode) -> None:
+    # Two-sample chi-square on equal totals: sum (x - y)^2 / (x + y) over bins,
+    # pooling every bin whose expected count (x + y) / 2 is below 5.  The
+    # statistic has at most bins - 1 degrees of freedom (fewer in sweep mode,
+    # where each slot's total is fixed), so the threshold's false-alarm
+    # probability is at most 1e-6 over both modes.
+    config = make_config(
+        pulses=1_000_000,
+        mode=mode,
+        channel_a=ChannelModel(loss_db=1.0, misalignment=0.1),
+        channel_b=ChannelModel(loss_db=2.0, misalignment=0.2),
+        detector=DetectorModel(efficiency=0.9, dark_prob=1e-4),
+    )
+    for seed in (101, 202):
+        table = session_tallies(run_session(dataclasses.replace(config, seed=seed))).ravel()
+        reference = per_gate_tallies(config, seed).ravel()
+        total = table + reference
+        small = total < 10
+        x = np.append(table[~small], table[small].sum())
+        y = np.append(reference[~small], reference[small].sum())
+        if x[-1] + y[-1] == 0:
+            x, y = x[:-1], y[:-1]
+        statistic = float(np.sum((x - y) ** 2 / (x + y)))
+        threshold = chi2.isf(1e-6 / 4, len(x) - 1)
+        assert statistic < threshold, (mode, seed, statistic, threshold)
+
+
 def test_sift_zeroes_mismatched_and_flags() -> None:
     tables = run_session(make_config(pulses=300_000))
     sifted = sift(tables)
@@ -191,6 +265,10 @@ def test_session_config_validation() -> None:
         make_config(mode="alternating")
     with pytest.raises(ParameterError):
         make_config(repetition_rate_hz=0.0)
+    with pytest.raises(ParameterError):
+        make_config(batch_gates=0)
+    with pytest.raises(ParameterError):
+        run_session(make_config(pulses=1000), workers=0)
 
 
 def test_column_layout() -> None:
