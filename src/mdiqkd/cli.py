@@ -15,6 +15,7 @@ from .bsa import BellOutcome, BsaInput, DetectorModel, coherent_click_probs, foc
 from .decoy import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
+    MAX_TRUNCATION,
     DegenerateBoundError,
     InfeasibleModelError,
     InsufficientCountsError,
@@ -146,6 +147,18 @@ def _add_common_output(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_bound_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--truncation", type=_positive_int, default=DEFAULT_TRUNCATION,
+        help="photon-number truncation of the bounding programs "
+        f"(2 to {MAX_TRUNCATION})",
+    )
+    sub.add_argument(
+        "--f-ec", type=float, default=DEFAULT_F_EC, dest="f_ec",
+        help="error-correction inefficiency factor",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdiqkd",
@@ -165,27 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = commands.add_parser("analyze", help="bound yields and rate from a counts file")
     ana.add_argument("counts", help="counts file")
-    ana.add_argument(
-        "--truncation", type=_positive_int, default=DEFAULT_TRUNCATION,
-        help="photon-number truncation of the bounding programs",
-    )
-    ana.add_argument(
-        "--f-ec", type=float, default=DEFAULT_F_EC, dest="f_ec",
-        help="error-correction inefficiency factor",
-    )
+    _add_bound_options(ana)
     _add_common_output(ana)
     ana.set_defaults(func=_cmd_analyze)
 
     rate = commands.add_parser("rate", help="bound yields and rate from a gain table")
     rate.add_argument("gains", help="gain-table file")
-    rate.add_argument(
-        "--truncation", type=_positive_int, default=DEFAULT_TRUNCATION,
-        help="photon-number truncation of the bounding programs",
-    )
-    rate.add_argument(
-        "--f-ec", type=float, default=DEFAULT_F_EC, dest="f_ec",
-        help="error-correction inefficiency factor",
-    )
+    _add_bound_options(rate)
     _add_common_output(rate)
     rate.set_defaults(func=_cmd_rate)
 

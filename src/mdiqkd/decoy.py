@@ -9,8 +9,12 @@ joint numbers (m, n) with m, n <= truncation and brackets each measured gain:
 where T_ij is the Poisson mass outside the truncation box (all yields lie in
 [0, 1], so the discarded terms contribute between 0 and T_ij).  Error-weighted
 yields (YE)^{mn} = Y^{mn} e^{mn} obey the same brackets against Q_ij E_ij and
-are coupled by 0 <= (YE)^{mn} <= Y^{mn} <= 1.  The single-photon error bound
-divides the maximal (YE)^{11} by the minimal diagonal-basis Y^{11}.
+are coupled by 0 <= (YE)^{mn} <= Y^{mn} <= 1.  The single-photon yield bound
+minimizes Y^{11} over the rectilinear brackets.  The single-photon error bound
+maximizes the ratio (YE)^{11} / Y^{11} jointly over the diagonal-basis (Y, YE)
+polytope, posed as one linear program by the Charnes-Cooper transform
+(Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)); the diagonal-basis
+Y^{11} lower bound is solved first to certify that the ratio is well defined.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex and may differ between solver versions.
@@ -22,14 +26,22 @@ import dataclasses
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .optics import ParameterError, poisson_pmf
 
 DEFAULT_TRUNCATION = 7
+# Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
+# typical intensities, and the programs grow as (T + 1)^2 variables.
+MAX_TRUNCATION = 50
 DEFAULT_F_EC = 1.164
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 
 class InfeasibleModelError(RuntimeError):
@@ -171,8 +183,10 @@ def _poisson_rows(
     mus: tuple[float, float, float], truncation: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-intensity Poisson rows P_m and the per-pair excluded tail masses."""
-    if truncation < 2:
-        raise ParameterError(f"truncation must be >= 2, got {truncation!r}")
+    if not 2 <= truncation <= MAX_TRUNCATION:
+        raise ParameterError(
+            f"truncation must lie in [2, {MAX_TRUNCATION}], got {truncation!r}"
+        )
     ns = np.arange(truncation + 1)
     rows = np.stack([np.asarray(poisson_pmf(mu, ns), dtype=float) for mu in mus])
     kept = rows.sum(axis=1)
@@ -180,42 +194,65 @@ def _poisson_rows(
     return rows, np.clip(tails, 0.0, None)
 
 
+def _brackets(
+    rows: np.ndarray, tails: np.ndarray, *matrices: tuple[str, np.ndarray]
+) -> tuple[list[tuple[str, int, int]], sparse.csr_array, np.ndarray, np.ndarray]:
+    """Labels, coefficient rows and (lo, hi) of the nine brackets per matrix.
+
+    Row 3 i + j of kron(rows, rows) holds P_m(mu_i) P_n(mu_j) at column
+    m (T + 1) + n, the weight of surface entry (m, n) in the gain of pair (i, j);
+    the k-th named matrix brackets the k-th surface of the variable vector.
+    """
+    labels = [(tag, i, j) for tag, _ in matrices for i in range(3) for j in range(3)]
+    a = sparse.block_diag([np.kron(rows, rows)] * len(matrices), format="csr")
+    hi = np.concatenate([values.ravel() for _, values in matrices])
+    return labels, a, hi - np.tile(tails.ravel(), len(matrices)), hi
+
+
+def _scale_brackets(
+    a: sparse.csr_array, lo: np.ndarray, hi: np.ndarray
+) -> tuple[sparse.csr_array, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-normalize brackets: scaled rows, his and widths, and the row scales.
+
+    Every equality then has an O(1) right-hand side; the raw gains sit far
+    below the solver's absolute feasibility tolerances otherwise.
+    """
+    scales = 1.0 / np.maximum(hi, 1e-9)
+    widths = np.clip(hi - lo, 0.0, None)
+    return sparse.diags_array(scales) @ a, hi * scales, widths * scales, scales
+
+
 def _solve_bracket_lp(
-    n_vars: int,
     c: np.ndarray,
-    brackets: list[tuple[str, int, int, np.ndarray, float, float]],
-    hard_rows: tuple[np.ndarray, np.ndarray] | None = None,
+    labels: list[tuple[str, int, int]],
+    a: sparse.csr_array,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    coupling: sparse.sparray | None = None,
 ) -> np.ndarray:
-    """Minimize c @ x subject to lo <= row @ x <= hi brackets and hard rows.
+    """Minimize c @ x over 0 <= x <= 1 with lo <= a @ x <= hi and coupling @ x <= 0.
 
     Each bracket is posed as an equality with its own slack variable bounded
-    by the bracket width (row @ x + t = hi, 0 <= t <= hi - lo), which avoids
+    by the bracket width (row @ x + s = hi, 0 <= s <= hi - lo), which avoids
     near-duplicate inequality rows when the width is tiny.  On infeasibility,
     re-solves with elastic slacks to identify which measured entries cannot be
     reconciled, then raises InfeasibleModelError.
     """
-    n_brackets = len(brackets)
-    rows = np.stack([b[3] for b in brackets])
-    his = np.array([b[5] for b in brackets])
-    widths = np.clip(np.array([b[5] - b[4] for b in brackets]), 0.0, None)
-    # Row-normalize so every equality has O(1) right-hand side; the raw gains
-    # sit far below the solver's absolute feasibility tolerances otherwise.
-    scales = 1.0 / np.maximum(his, 1e-9)
-    rows_s = rows * scales[:, None]
-    his_s = his * scales
-    widths_s = widths * scales
-    a_eq = np.hstack([rows_s, np.eye(n_brackets)])
+    n_brackets, n_vars = a.shape
+    a_s, his_s, widths_s, scales = _scale_brackets(a, lo, hi)
+    # All-CSR blocks take scipy's fast stacking path.
+    slack = sparse.eye_array(n_brackets, format="csr")
+    a_eq = sparse.hstack([a_s, slack], format="csr")
     bounds = [(0.0, 1.0)] * n_vars + [(0.0, w) for w in widths_s]
-    a_ub = None
-    b_ub = None
-    if hard_rows is not None:
-        a_ub = np.hstack([hard_rows[0], np.zeros((hard_rows[0].shape[0], n_brackets))])
-        b_ub = hard_rows[1]
+    a_ub = a_ub_diag = b_ub = None
+    if coupling is not None:
+        n_hard = coupling.shape[0]
+        a_ub = sparse.hstack([coupling, sparse.csr_array((n_hard, n_brackets))], format="csr")
+        a_ub_diag = sparse.hstack(
+            [a_ub, sparse.csr_array((n_hard, 2 * n_brackets))], format="csr"
+        )
+        b_ub = np.zeros(n_hard)
     c_full = np.concatenate([c, np.zeros(n_brackets)])
-    options = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
     res = linprog(
         c_full,
         A_ub=a_ub,
@@ -224,7 +261,7 @@ def _solve_bracket_lp(
         b_eq=his_s,
         bounds=bounds,
         method="highs",
-        options=options,
+        options=_HIGHS_OPTIONS,
     )
     if res.status == 0:
         return res.x[:n_vars]
@@ -234,12 +271,9 @@ def _solve_bracket_lp(
     # Elastic reformulation: let each equality miss by u (shortfall) or v
     # (excess) and minimize the total scaled miss.  Near-zero total miss means
     # the program was feasible and only numerically troubled.
-    elastic = np.hstack([a_eq, np.eye(n_brackets), -np.eye(n_brackets)])
+    elastic = sparse.hstack([a_eq, slack, -slack], format="csr")
     c_diag = np.concatenate([np.zeros(n_vars + n_brackets), np.ones(2 * n_brackets)])
     bounds_diag = bounds + [(0.0, None)] * (2 * n_brackets)
-    a_ub_diag = None
-    if a_ub is not None:
-        a_ub_diag = np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * n_brackets))])
     diag = linprog(
         c_diag,
         A_ub=a_ub_diag,
@@ -248,7 +282,7 @@ def _solve_bracket_lp(
         b_eq=his_s,
         bounds=bounds_diag,
         method="highs",
-        options=options,
+        options=_HIGHS_OPTIONS,
     )
     if diag.status != 0:
         raise RuntimeError(f"linear program failed: {res.message}")
@@ -262,7 +296,7 @@ def _solve_bracket_lp(
             b_eq=his_s,
             bounds=bounds,
             method="highs",
-            options={**options, "presolve": False},
+            options={**_HIGHS_OPTIONS, "presolve": False},
         )
         if retry.status == 0:
             return retry.x[:n_vars]
@@ -272,7 +306,7 @@ def _solve_bracket_lp(
     per_bracket_scaled = misses_scaled[:n_brackets] + misses_scaled[n_brackets:]
     violations = [
         (tag, i, j, float(miss / scale))
-        for (tag, i, j, _, _, _), miss, scale in zip(brackets, per_bracket_scaled, scales)
+        for (tag, i, j), miss, scale in zip(labels, per_bracket_scaled, scales)
         if miss > _SLACK_TOL
     ]
     detail = ", ".join(f"{t}[{i},{j}] off by {s:.3e}" for t, i, j, s in violations)
@@ -291,7 +325,7 @@ def lp_bound_yield(
     Args:
         gains: 3x3 measured gains indexed (signal, decoy, vacuum) per axis.
         mus: the three mean photon numbers, (signal, decoy, vacuum).
-        truncation: photon-number cutoff per sender.
+        truncation: photon-number cutoff per sender, at most MAX_TRUNCATION.
 
     Returns:
         YieldBound with the minimal feasible Y^{11} and one attaining surface.
@@ -301,22 +335,11 @@ def lp_bound_yield(
         raise ParameterError(f"gains must have shape (3, 3), got {gains.shape!r}")
     rows, tails = _poisson_rows(mus, truncation)
     width = truncation + 1
-    n_vars = width * width
-    brackets = []
-    for i in range(3):
-        for j in range(3):
-            coeff = np.outer(rows[i], rows[j]).ravel()
-            lo = gains[i, j] - tails[i, j]
-            brackets.append(("Q", i, j, coeff, lo, gains[i, j]))
-    c = np.zeros(n_vars)
+    labels, a, lo, hi = _brackets(rows, tails, ("Q", gains))
+    c = np.zeros(width * width)
     c[width + 1] = 1.0
-    x = _solve_bracket_lp(n_vars, c, brackets)
-    surface = x.reshape(width, width)
+    surface = _solve_bracket_lp(c, labels, a, lo, hi).reshape(width, width)
     return YieldBound(value=float(surface[1, 1]), surface=surface)
-
-
-_RATIO_MAX_ITER = 60
-_RATIO_OBJ_TOL = 1e-14
 
 
 def lp_bound_error(
@@ -330,11 +353,16 @@ def lp_bound_error(
     Maximizes the ratio (YE)^{11} / Y^{11} over the joint polytope of yields Y
     and error-weighted yields YE with 0 <= YE <= Y <= 1 and both bracket sets
     satisfied.  The true surfaces lie in the polytope, so the ratio optimum
-    dominates the true e^{11}.  Solved by Dinkelbach iteration: each step
-    maximizes (YE)^{11} - lam * Y^{11}; the optimum ratio is the fixed point.
+    dominates the true e^{11}.  The Charnes-Cooper substitution z = t (Y, YE),
+    t >= 0, with the scale fixed by z_Y^{11} = 1, makes it one linear program:
+    maximize z_YE^{11} = e^{11} subject to (a z)_k + s_k = hi_k t,
+    0 <= s_k <= width_k t for the bracket slacks s, and z_YE <= z_Y <= t.
+    The Y^{11} lower bound is solved first; when it is positive,
+    0 < t <= 1 / min Y^{11} and the surfaces are z / t.
 
     Raises:
         DegenerateBoundError: the Y^{11} lower bound is numerically zero.
+        InfeasibleModelError: no surfaces meet the brackets.
     """
     gains = np.asarray(gains, dtype=float)
     qbers = np.asarray(qbers, dtype=float)
@@ -343,23 +371,7 @@ def lp_bound_error(
     rows, tails = _poisson_rows(mus, truncation)
     width = truncation + 1
     n_half = width * width
-    n_vars = 2 * n_half
     idx_y11 = width + 1
-    idx_ye11 = n_half + width + 1
-
-    brackets = []
-    for i in range(3):
-        for j in range(3):
-            coeff = np.outer(rows[i], rows[j]).ravel()
-            row_y = np.concatenate([coeff, np.zeros(n_half)])
-            brackets.append(
-                ("Q", i, j, row_y, gains[i, j] - tails[i, j], gains[i, j])
-            )
-            qe = gains[i, j] * qbers[i, j]
-            row_ye = np.concatenate([np.zeros(n_half), coeff])
-            brackets.append(("QE", i, j, row_ye, qe - tails[i, j], qe))
-    coupling = np.hstack([-np.eye(n_half), np.eye(n_half)])
-    hard = (coupling, np.zeros(n_half))
 
     denominator = lp_bound_yield(gains, mus, truncation)
     if denominator.value <= _DENOM_FLOOR:
@@ -368,28 +380,56 @@ def lp_bound_error(
             "to divide the error mass by"
         )
 
-    lam = 0.0
-    x = None
-    for _ in range(_RATIO_MAX_ITER):
-        c = np.zeros(n_vars)
-        c[idx_ye11] = -1.0
-        c[idx_y11] = lam
-        x = _solve_bracket_lp(n_vars, c, brackets, hard_rows=hard)
-        gap = float(x[idx_ye11] - lam * x[idx_y11])
-        if gap <= _RATIO_OBJ_TOL:
-            break
-        lam = float(x[idx_ye11] / x[idx_y11])
-    else:
-        raise RuntimeError("ratio iteration failed to converge")
+    labels, a, lo, hi = _brackets(rows, tails, ("Q", gains), ("QE", gains * qbers))
+    a_s, his_s, widths_s, _ = _scale_brackets(a, lo, hi)
+    n_brackets = len(labels)
+    eye_s = sparse.eye_array(n_brackets)
+    # YE - Y <= 0.
+    coupling = sparse.eye_array(n_half, 2 * n_half, k=n_half) - sparse.eye_array(n_half, 2 * n_half)
+    # Columns: z = t (Y, YE), s, t.
+    a_eq = sparse.bmat(
+        [
+            [sparse.eye_array(1, 2 * n_half, k=idx_y11), None, None],
+            [a_s, eye_s, -his_s[:, None]],
+        ],
+        format="csr",
+    )
+    a_ub = sparse.bmat(
+        [
+            [coupling, None, None],
+            [sparse.eye_array(n_half, 2 * n_half), None, -np.ones((n_half, 1))],
+            [None, eye_s, -widths_s[:, None]],
+        ],
+        format="csr",
+    )
+    b_eq = np.zeros(n_brackets + 1)
+    b_eq[0] = 1.0
+    c = np.zeros(2 * n_half + n_brackets + 1)
+    c[n_half + idx_y11] = -1.0
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0.0, None),
+        method="highs",
+        options=_HIGHS_OPTIONS,
+    )
+    if res.status in (2, 4):
+        # Raises InfeasibleModelError with the certificate if the data are
+        # inconsistent; otherwise the failure is the solver's.
+        _solve_bracket_lp(np.zeros(2 * n_half), labels, a, lo, hi, coupling)
+        raise RuntimeError(f"ratio program failed on a feasible instance: {res.message}")
+    if res.status != 0:
+        raise RuntimeError(f"linear program failed: {res.message}")
 
-    y_surface = x[:n_half].reshape(width, width)
-    ye_surface = x[n_half:].reshape(width, width)
-    e11 = min(0.5, max(0.0, lam))
+    z = res.x[: 2 * n_half] / res.x[-1]
     return ErrorBound(
-        value=e11,
+        value=min(0.5, max(0.0, float(res.x[n_half + idx_y11]))),
         y11_diag_lower=denominator.value,
-        y_surface=y_surface,
-        ye_surface=ye_surface,
+        y_surface=z[:n_half].reshape(width, width),
+        ye_surface=z[n_half:].reshape(width, width),
     )
 
 

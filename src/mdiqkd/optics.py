@@ -1,4 +1,4 @@
-"""Core optics primitives: polarization states, intensity classes, channels, pulses.
+"""Core optics primitives: polarization states, intensity classes, channels.
 
 Conventions used across the package:
   * Polarization states are Jones vectors (amp_h, amp_v), unit norm.
@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import gammaln
 
 NORM_TOL = 1e-12
-PROB_TOL = 1e-9
 
 BASIS_RECT = "rect"
 BASIS_DIAG = "diag"
@@ -59,7 +58,6 @@ SOP_MINUS = PolarizationState(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j)
 # in the low bit, so an orthogonal flip is code ^ 1 and the basis is code >> 1.
 SOP_BY_CODE: tuple[PolarizationState, ...] = (SOP_H, SOP_V, SOP_PLUS, SOP_MINUS)
 SOP_LABELS: tuple[str, ...] = ("H", "V", "+45", "-45")
-SOP_CODE_BY_LABEL: dict[str, int] = {label: i for i, label in enumerate(SOP_LABELS)}
 BASIS_BY_CODE: tuple[str, ...] = (BASIS_RECT, BASIS_RECT, BASIS_DIAG, BASIS_DIAG)
 
 
@@ -208,43 +206,3 @@ class ChannelModel:
             raise ParameterError(
                 f"temporal_overlap must lie in [0, 1], got {self.temporal_overlap!r}"
             )
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class PulseDescriptor:
-    """One prepared pulse: basis, bit, intensity class, and resulting state."""
-
-    basis: str
-    bit: int
-    intensity: IntensityClass
-    sop: PolarizationState
-
-    def __post_init__(self) -> None:
-        if self.basis not in (BASIS_RECT, BASIS_DIAG):
-            raise ParameterError(
-                f"basis must be {BASIS_RECT!r} or {BASIS_DIAG!r}, got {self.basis!r}"
-            )
-        if self.bit not in (0, 1):
-            raise ParameterError(f"bit must be 0 or 1, got {self.bit!r}")
-        canonical = SOP_BY_CODE[self.sop_code()]
-        if sop_overlap(self.sop, canonical) < 1.0 - PROB_TOL:
-            raise ParameterError(
-                f"sop does not match basis {self.basis!r} bit {self.bit!r}"
-            )
-
-    def sop_code(self) -> int:
-        return (0 if self.basis == BASIS_RECT else 2) + self.bit
-
-    @classmethod
-    def from_choices(
-        cls, basis: str, bit: int, intensity: IntensityClass
-    ) -> "PulseDescriptor":
-        """Build a descriptor with the canonical state for (basis, bit)."""
-        if basis not in (BASIS_RECT, BASIS_DIAG):
-            raise ParameterError(
-                f"basis must be {BASIS_RECT!r} or {BASIS_DIAG!r}, got {basis!r}"
-            )
-        if bit not in (0, 1):
-            raise ParameterError(f"bit must be 0 or 1, got {bit!r}")
-        code = (0 if basis == BASIS_RECT else 2) + bit
-        return cls(basis=basis, bit=bit, intensity=intensity, sop=SOP_BY_CODE[code])

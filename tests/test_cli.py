@@ -296,4 +296,6 @@ def test_bad_truncation_flag(tmp_path, capsys) -> None:
     save_counts(synthetic_feasible_tables(), counts_path)
     assert main(["analyze", counts_path, "--truncation", "0"]) == 1
     assert main(["analyze", counts_path, "--truncation", "-3"]) == 1
-    capsys.readouterr()
+    assert main(["analyze", counts_path, "--truncation", "51"]) == 1
+    assert main(["rate", reference_gains_path(tmp_path), "--truncation", "51"]) == 1
+    assert "truncation must lie in [2, 50]" in capsys.readouterr().err

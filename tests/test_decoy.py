@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from mdiqkd.bsa import DetectorModel
+import mdiqkd.decoy
 from mdiqkd.decoy import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
+    MAX_TRUNCATION,
     DegenerateBoundError,
     GainErrorMatrices,
     InfeasibleModelError,
@@ -214,6 +216,21 @@ def test_reference_rect_gains_are_infeasible() -> None:
     assert 1.0e-8 <= slacks[("Q", 1, 1)] <= 5.0e-8
 
 
+def test_inconsistent_error_brackets_raise_certificate() -> None:
+    # The yield brackets are met, but error rate 1 on the signal-vacuum pairs
+    # next to 5% on the other pairs that see the same (m, 0) and (0, n) yields
+    # fits no error-weighted surface with 0 <= YE <= Y.
+    qbers = np.full((3, 3), 0.05)
+    qbers[2, 2] = 0.0
+    qbers[0, 2] = qbers[2, 0] = 1.0
+    with pytest.raises(InfeasibleModelError) as excinfo:
+        lp_bound_error(geometric_gains(1e-3), qbers, REFERENCE_MUS)
+    slacks = {(name, i, j): s for name, i, j, s in excinfo.value.violations}
+    assert set(slacks) == {("QE", 0, 2), ("QE", 2, 0)}
+    for slack in slacks.values():
+        assert slack == pytest.approx(4.736e-4, rel=1e-3)
+
+
 def test_reference_analysis_raises_certificate() -> None:
     with pytest.raises(InfeasibleModelError):
         analyze_matrices(reference_matrices())
@@ -412,11 +429,39 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
     assert result.solution.y_rect.shape == (8, 8)
 
 
+def test_analyze_matrices_solve_count(monkeypatch) -> None:
+    # One solve each for the rectilinear yield, the diagonal yield and the
+    # error ratio.
+    calls = []
+    real_linprog = mdiqkd.decoy.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mdiqkd.decoy, "linprog", counting_linprog)
+    gains = geometric_gains(1e-3)
+    errors = np.full((3, 3), 0.03)
+    analyze_matrices(
+        GainErrorMatrices(
+            mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+            e_rect=errors, e_diag=errors.copy(),
+        )
+    )
+    assert len(calls) <= 3
+
+
 def test_lp_input_validation() -> None:
     with pytest.raises(ParameterError):
         lp_bound_yield(np.zeros((2, 3)), REFERENCE_MUS)
     with pytest.raises(ParameterError):
         lp_bound_yield(geometric_gains(1e-3), REFERENCE_MUS, truncation=1)
+    with pytest.raises(ParameterError):
+        lp_bound_yield(geometric_gains(1e-3), REFERENCE_MUS, truncation=MAX_TRUNCATION + 1)
+    with pytest.raises(ParameterError):
+        lp_bound_error(
+            geometric_gains(1e-3), np.zeros((3, 3)), REFERENCE_MUS, MAX_TRUNCATION + 1
+        )
     with pytest.raises(ParameterError):
         lp_bound_error(geometric_gains(1e-3), np.zeros((2, 2)), REFERENCE_MUS)
     with pytest.raises(ParameterError):
