@@ -60,30 +60,6 @@ class BellOutcome(enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class ClickPattern:
-    """Which of the four detectors fired in one gate."""
-
-    d1: bool
-    d2: bool
-    d3: bool
-    d4: bool
-
-    @property
-    def index(self) -> int:
-        return int(self.d1) | int(self.d2) << 1 | int(self.d3) << 2 | int(self.d4) << 3
-
-    @classmethod
-    def from_index(cls, index: int) -> "ClickPattern":
-        if not 0 <= index < PATTERN_COUNT:
-            raise ParameterError(f"pattern index must lie in [0, 16), got {index!r}")
-        return cls(bool(index & 1), bool(index & 2), bool(index & 4), bool(index & 8))
-
-    def fired(self) -> tuple[int, ...]:
-        """Detector numbers (1-based) that clicked."""
-        return tuple(d + 1 for d in range(4) if (self.index >> d) & 1)
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
 class DetectorModel:
     """Threshold single-photon detector with efficiency and dark counts.
 
@@ -131,9 +107,8 @@ class BsaInput:
             raise ParameterError(f"overlap must lie in [0, 1], got {self.overlap!r}")
 
 
-def classify_outcome(pattern: ClickPattern | int) -> BellOutcome:
-    """Map a click pattern to its announced Bell outcome."""
-    index = pattern.index if isinstance(pattern, ClickPattern) else int(pattern)
+def classify_outcome(index: int) -> BellOutcome:
+    """Map a click-pattern index (detector d as bit d-1) to its announced Bell outcome."""
     if not 0 <= index < PATTERN_COUNT:
         raise ParameterError(f"pattern index must lie in [0, 16), got {index!r}")
     if index in PSI_PLUS_PATTERNS:
@@ -141,11 +116,6 @@ def classify_outcome(pattern: ClickPattern | int) -> BellOutcome:
     if index in PSI_MINUS_PATTERNS:
         return BellOutcome.PSI_MINUS
     return BellOutcome.INCONCLUSIVE
-
-
-OUTCOME_BY_PATTERN: tuple[BellOutcome, ...] = tuple(
-    classify_outcome(i) for i in range(PATTERN_COUNT)
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,15 +152,6 @@ class BsaResponse:
     @property
     def conclusive_prob(self) -> float:
         return self.psi_plus_prob + self.psi_minus_prob
-
-    @property
-    def outcome_probs(self) -> dict[BellOutcome, float]:
-        plus, minus = self.psi_plus_prob, self.psi_minus_prob
-        return {
-            BellOutcome.PSI_PLUS: plus,
-            BellOutcome.PSI_MINUS: minus,
-            BellOutcome.INCONCLUSIVE: 1.0 - plus - minus,
-        }
 
     @property
     def conditional_fractions(self) -> dict[BellOutcome, float]:

@@ -35,7 +35,7 @@ from .io_formats import (
     load_hom_config,
     load_session_config,
 )
-from .optics import SOP_BY_CODE, ParameterError
+from .optics import SOP_BY_CODE, SOP_LABELS, ParameterError
 from .session import hom_scan, run_session
 
 EXIT_OK = 0
@@ -116,7 +116,6 @@ _TABLE_ROWS = (
     ("diag", 2, 3),
     ("diag", 3, 2),
 )
-_TABLE_SOP_NAMES = ("H", "V", "+45", "-45")
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -132,7 +131,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             BsaInput(args.mu, args.mu, SOP_BY_CODE[sa], SOP_BY_CODE[sb]), ideal
         ).conditional_fractions
         lines.append(
-            f"{basis:<6} {_TABLE_SOP_NAMES[sa]:<6} {_TABLE_SOP_NAMES[sb]:<6} "
+            f"{basis:<6} {SOP_LABELS[sa]:<6} {SOP_LABELS[sb]:<6} "
             f"{single[BellOutcome.PSI_PLUS]:>9g} {single[BellOutcome.PSI_MINUS]:>9g} "
             f"{wcp[BellOutcome.PSI_PLUS]:>9.4f} {wcp[BellOutcome.PSI_MINUS]:>9.4f}"
         )

@@ -7,8 +7,12 @@ is canonical: fixed key order, single-space separation, floats via repr,
 rows in declared intensity order then state-code order, "\n" newlines.
 Loaders additionally accept blank lines and full-line "#" comments so the
 files stay hand-editable; such input is non-canonical and is normalized
-away by a save.  Config files use flat "key = value" lines with dotted
-section names (for example channel_a.loss_db).
+away by a save.  Config files use flat "key = value" lines.  Their keys are
+the fields of SessionConfig and HomScanConfig, with dotted names for nested
+fields (for example channel_a.loss_db) and classes.<label> for an intensity
+class's mu; each key's default is the dataclass default, and its value is
+parsed by that default's type.  Scan configs also take a
+delays.start_ns / delays.stop_ns / delays.points grid.
 
 Unknown header keys and unknown config keys raise in strict mode and warn
 otherwise.  Structural problems (bad version, duplicate cells, malformed
@@ -26,9 +30,10 @@ import warnings as _warnings
 import numpy as np
 
 from .decoy import DecoyResult, GainErrorMatrices
-from .optics import IntensityClass, ParameterError
+from .optics import ParameterError
 from .session import (
     COUNT_COLUMNS,
+    DEFAULT_DELAY_GRID,
     N_CLASSES,
     N_COLUMNS,
     N_SOPS,
@@ -37,8 +42,6 @@ from .session import (
     HomScanResult,
     SessionConfig,
 )
-from .bsa import DetectorModel
-from .optics import ChannelModel
 
 TOOL_VERSION = "0.1.0"
 
@@ -533,13 +536,60 @@ def format_hom_table(result: HomScanResult) -> str:
     return out.getvalue()
 
 
-# Config files: flat "key = value" lines with dotted section names.
+# Config files: flat "key = value" lines with dotted section names.  The keys
+# and their defaults come from the config dataclasses' fields.
 
 
-def _parse_config_pairs(
-    text: str, source: str, known: set[str], strict: bool
-) -> dict[str, tuple[int, str]]:
-    pairs: dict[str, tuple[int, str]] = {}
+def _config_defaults(default, prefix: str = "") -> dict[str, object]:
+    """Dotted config key -> default value for every leaf field of a config.
+
+    A nested dataclass field takes dotted keys, and an intensity-class tuple
+    takes one classes.<label> key per class, setting that class's mu.
+    """
+    out: dict[str, object] = {}
+    for field in dataclasses.fields(default):
+        key = prefix + field.name
+        value = getattr(default, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_config_defaults(value, key + "."))
+        elif field.name == "classes":
+            out.update({f"{key}.{c.label}": c.mu for c in value})
+        else:
+            out[key] = value
+    return out
+
+
+def _with_values(default, values: dict[str, object], prefix: str = ""):
+    """Copy of a config with the dotted keys in values set.
+
+    dataclasses.replace re-runs each __post_init__, so every value is
+    validated as if passed to the constructor.
+    """
+    changes: dict[str, object] = {}
+    for field in dataclasses.fields(default):
+        key = prefix + field.name
+        value = getattr(default, field.name)
+        if dataclasses.is_dataclass(value):
+            changes[field.name] = _with_values(value, values, key + ".")
+        elif field.name == "classes":
+            changes[field.name] = tuple(
+                dataclasses.replace(c, mu=values.get(f"{key}.{c.label}", c.mu))
+                for c in value
+            )
+        elif key in values:
+            changes[field.name] = values[key]
+    return dataclasses.replace(default, **changes)
+
+
+def _read_config(
+    text: str, source: str, strict: bool, defaults: dict[str, object]
+) -> dict[str, object]:
+    """Parse config text into values for the keys it sets.
+
+    Each value is parsed by the type of its key's default: int, float, str,
+    or a whitespace-separated tuple of floats.
+    """
+    values: dict[str, object] = {}
     for lineno, line in _content_lines(text):
         where = f"{source}:{lineno}"
         key, sep, value = line.partition("=")
@@ -547,95 +597,38 @@ def _parse_config_pairs(
         value = value.strip()
         if not sep or not key or " " in key:
             raise FormatError(f"{where}: expected 'key = value', got {line!r}")
-        if key in pairs:
+        if key in values:
             raise FormatError(f"{where}: duplicate key {key!r}")
-        if key not in known:
+        if key not in defaults:
             message = f"{where}: unknown config key {key!r}"
             if strict:
                 raise FormatError(message)
             _warnings.warn(message, stacklevel=3)
             continue
-        pairs[key] = (lineno, value)
-    return pairs
+        context = f"{where} ({key})"
+        default = defaults[key]
+        if isinstance(default, tuple):
+            values[key] = tuple(_parse_float(t, context) for t in value.split())
+        elif isinstance(default, int):
+            values[key] = _parse_int(value, context)
+        elif isinstance(default, float):
+            values[key] = _parse_float(value, context)
+        else:
+            values[key] = value
+    return values
 
 
-class _ConfigReader:
-    """Typed access to parsed config pairs with per-key context."""
-
-    def __init__(self, pairs: dict[str, tuple[int, str]], source: str):
-        self.pairs = pairs
-        self.source = source
-
-    def _get(self, key: str) -> tuple[str, str] | None:
-        if key not in self.pairs:
-            return None
-        lineno, value = self.pairs[key]
-        return f"{self.source}:{lineno} ({key})", value
-
-    def get_int(self, key: str, default: int) -> int:
-        found = self._get(key)
-        return default if found is None else _parse_int(found[1], found[0])
-
-    def get_float(self, key: str, default: float) -> float:
-        found = self._get(key)
-        return default if found is None else _parse_float(found[1], found[0])
-
-    def get_str(self, key: str, default: str) -> str:
-        found = self._get(key)
-        return default if found is None else found[1]
-
-    def get_floats(self, key: str) -> tuple[float, ...] | None:
-        found = self._get(key)
-        if found is None:
-            return None
-        context, value = found
-        return tuple(_parse_float(t, context) for t in value.split())
-
-    def has(self, key: str) -> bool:
-        return key in self.pairs
-
-
-_SESSION_CONFIG_KEYS = {
-    "pulses",
-    "seed",
-    "mode",
-    "rect_prob",
-    "batch_gates",
-    "repetition_rate_hz",
-    "classes.signal",
-    "classes.decoy",
-    "classes.vacuum",
-    "class_probs",
-    "channel_a.loss_db",
-    "channel_a.misalignment",
-    "channel_a.temporal_overlap",
-    "channel_b.loss_db",
-    "channel_b.misalignment",
-    "channel_b.temporal_overlap",
-    "detector.efficiency",
-    "detector.dark_prob",
-    "detector.max_dark_prob",
-}
-
-DEFAULT_SESSION_PULSES = 1_000_000
-DEFAULT_SEED = 1
-DEFAULT_CLASS_PROBS = (0.5, 0.25, 0.25)
-
-
-def _channel_from(reader: _ConfigReader, prefix: str) -> ChannelModel:
-    return ChannelModel(
-        loss_db=reader.get_float(f"{prefix}.loss_db", 0.0),
-        misalignment=reader.get_float(f"{prefix}.misalignment", 0.0),
-        temporal_overlap=reader.get_float(f"{prefix}.temporal_overlap", 1.0),
-    )
-
-
-def _detector_from(reader: _ConfigReader) -> DetectorModel:
-    return DetectorModel(
-        efficiency=reader.get_float("detector.efficiency", 1.0),
-        dark_prob=reader.get_float("detector.dark_prob", 0.0),
-        max_dark_prob=reader.get_float("detector.max_dark_prob", 0.01),
-    )
+def _build_config(
+    default, values: dict[str, object], overrides: dict | None, pulses_key: str, source: str
+):
+    """Apply the "pulses" and "seed" overrides to values, then build the config."""
+    for flag, key in (("pulses", pulses_key), ("seed", "seed")):
+        if flag in (overrides or {}):
+            values[key] = int(overrides[flag])
+    try:
+        return _with_values(default, values)
+    except ParameterError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
 
 
 def parse_session_config(
@@ -646,41 +639,13 @@ def parse_session_config(
 ) -> SessionConfig:
     """Build a SessionConfig from config text plus optional field overrides.
 
-    overrides maps a subset of {"pulses", "seed"} to values taking precedence
-    over the file, for command-line flags.
+    Keys not in the text keep their SessionConfig defaults.  overrides maps a
+    subset of {"pulses", "seed"} to values taking precedence over the file,
+    for command-line flags.
     """
-    pairs = _parse_config_pairs(text, source, _SESSION_CONFIG_KEYS, strict)
-    reader = _ConfigReader(pairs, source)
-    overrides = overrides or {}
-
-    classes = (
-        IntensityClass("signal", reader.get_float("classes.signal", 0.5)),
-        IntensityClass("decoy", reader.get_float("classes.decoy", 0.1)),
-        IntensityClass("vacuum", reader.get_float("classes.vacuum", 0.0)),
-    )
-    probs = reader.get_floats("class_probs")
-    if probs is None:
-        probs = DEFAULT_CLASS_PROBS
-    elif len(probs) != 3:
-        lineno = pairs["class_probs"][0]
-        raise FormatError(f"{source}:{lineno}: class_probs needs 3 values, got {len(probs)}")
-
-    try:
-        return SessionConfig(
-            pulses=int(overrides.get("pulses", reader.get_int("pulses", DEFAULT_SESSION_PULSES))),
-            seed=int(overrides.get("seed", reader.get_int("seed", DEFAULT_SEED))),
-            classes=classes,
-            class_probs=probs,
-            channel_a=_channel_from(reader, "channel_a"),
-            channel_b=_channel_from(reader, "channel_b"),
-            detector=_detector_from(reader),
-            rect_prob=reader.get_float("rect_prob", 0.5),
-            mode=reader.get_str("mode", "random"),
-            batch_gates=reader.get_int("batch_gates", 1_000_000),
-            repetition_rate_hz=reader.get_float("repetition_rate_hz", 1e6),
-        )
-    except ParameterError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    default = SessionConfig()
+    values = _read_config(text, source, strict, _config_defaults(default))
+    return _build_config(default, values, overrides, "pulses", source)
 
 
 def load_session_config(
@@ -693,23 +658,6 @@ def load_session_config(
         )
 
 
-_HOM_CONFIG_KEYS = {
-    "mu",
-    "pulse_width_ns",
-    "delays_ns",
-    "delays.start_ns",
-    "delays.stop_ns",
-    "delays.points",
-    "pulses_per_point",
-    "seed",
-    "detector.efficiency",
-    "detector.dark_prob",
-    "detector.max_dark_prob",
-}
-
-DEFAULT_HOM_PULSES_PER_POINT = 200_000
-
-
 def parse_hom_config(
     text: str,
     strict: bool = False,
@@ -718,44 +666,28 @@ def parse_hom_config(
 ) -> HomScanConfig:
     """Build a HomScanConfig from config text plus optional field overrides.
 
-    The delay grid comes either from an explicit delays_ns list or from a
-    delays.start_ns / delays.stop_ns / delays.points triple, not both.
+    Keys not in the text keep their HomScanConfig defaults.  The delay grid
+    comes either from an explicit delays_ns list or from a delays.start_ns /
+    delays.stop_ns / delays.points triple, not both; a partial triple takes
+    the rest from DEFAULT_DELAY_GRID.  overrides maps a subset of
+    {"pulses", "seed"} to values taking precedence over the file; "pulses"
+    sets pulses_per_point.
     """
-    pairs = _parse_config_pairs(text, source, _HOM_CONFIG_KEYS, strict)
-    reader = _ConfigReader(pairs, source)
-    overrides = overrides or {}
-
-    explicit = reader.get_floats("delays_ns")
-    grid_keys = ("delays.start_ns", "delays.stop_ns", "delays.points")
-    has_grid = any(reader.has(k) for k in grid_keys)
-    if explicit is not None and has_grid:
-        raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
-    if explicit is not None:
-        delays = explicit
-    else:
-        start = reader.get_float("delays.start_ns", -3.0)
-        stop = reader.get_float("delays.stop_ns", 3.0)
-        points = reader.get_int("delays.points", 49)
+    default = HomScanConfig()
+    grid_defaults = dict(
+        zip(("delays.start_ns", "delays.stop_ns", "delays.points"), DEFAULT_DELAY_GRID)
+    )
+    values = _read_config(
+        text, source, strict, {**_config_defaults(default), **grid_defaults}
+    )
+    if any(key in values for key in grid_defaults):
+        if "delays_ns" in values:
+            raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
+        start, stop, points = (values.pop(key, value) for key, value in grid_defaults.items())
         if points < 2:
             raise FormatError(f"{source}: delays.points must be >= 2, got {points}")
-        delays = tuple(float(t) for t in np.linspace(start, stop, points))
-
-    try:
-        return HomScanConfig(
-            mu=reader.get_float("mu", 0.1),
-            pulse_width_ns=reader.get_float("pulse_width_ns", 1.5),
-            delays_ns=delays,
-            pulses_per_point=int(
-                overrides.get(
-                    "pulses",
-                    reader.get_int("pulses_per_point", DEFAULT_HOM_PULSES_PER_POINT),
-                )
-            ),
-            seed=int(overrides.get("seed", reader.get_int("seed", DEFAULT_SEED))),
-            detector=_detector_from(reader),
-        )
-    except ParameterError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+        values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
+    return _build_config(default, values, overrides, "pulses_per_point", source)
 
 
 def load_hom_config(

@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 NORM_TOL = 1e-12
 
@@ -90,7 +89,10 @@ def poisson_pmf(mu: float, n):
     if mu == 0.0:
         out = np.where(n_arr == 0, 1.0, 0.0)
     else:
-        out = np.exp(n_arr * math.log(mu) - mu - gammaln(n_arr + 1.0))
+        log_factorial = np.reshape(
+            [math.lgamma(k + 1) for k in n_arr.ravel().tolist()], n_arr.shape
+        )
+        out = np.exp(n_arr * math.log(mu) - mu - log_factorial)
     if np.isscalar(n) or n_arr.ndim == 0:
         return float(out)
     return out
@@ -103,25 +105,6 @@ def attenuate(mu: float, loss_db: float) -> float:
     if not math.isfinite(loss_db) or loss_db < 0.0:
         raise ParameterError(f"loss_db must be finite and >= 0, got {loss_db!r}")
     return mu * 10.0 ** (-loss_db / 10.0)
-
-
-def apply_misalignment(
-    sop: PolarizationState, misalignment: float, rng: np.random.Generator
-) -> PolarizationState:
-    """Flip sop to its orthogonal state with the given probability.
-
-    Args:
-        sop: incoming state.
-        misalignment: flip probability in [0, 0.5].
-        rng: numpy Generator supplying the uniform draw.
-    """
-    if not 0.0 <= misalignment <= 0.5:
-        raise ParameterError(
-            f"misalignment must lie in [0, 0.5], got {misalignment!r}"
-        )
-    if rng.random() < misalignment:
-        return sop.orthogonal()
-    return sop
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

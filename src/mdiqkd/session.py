@@ -39,13 +39,13 @@ from .optics import (
     IntensityClass,
     ParameterError,
     attenuate,
+    standard_classes,
     validate_classes,
 )
 
 N_CLASSES = 3
 N_SOPS = 4
 N_CELLS = N_CLASSES * N_CLASSES * N_SOPS * N_SOPS
-DEFAULT_BATCH_GATES = 1_000_000
 
 # Tally columns per cell, in serialization order.  The first four are the
 # conclusive coincidence classes; "other" absorbs every remaining pattern.
@@ -82,6 +82,9 @@ _MISMATCHED[:, :, 2:, :2] = True
 class SessionConfig:
     """Full configuration of one simulated session.
 
+    Every field has a default, and these defaults are the session config
+    file's defaults: an empty config file gives SessionConfig().
+
     Attributes:
         pulses: number of gates (pulse pairs) to simulate.
         seed: master RNG seed.
@@ -98,16 +101,16 @@ class SessionConfig:
         repetition_rate_hz: gate rate, used only to convert to wall-clock units.
     """
 
-    pulses: int
-    seed: int
-    classes: tuple[IntensityClass, IntensityClass, IntensityClass]
-    class_probs: tuple[float, float, float]
-    channel_a: ChannelModel
-    channel_b: ChannelModel
-    detector: DetectorModel
+    pulses: int = 1_000_000
+    seed: int = 1
+    classes: tuple[IntensityClass, IntensityClass, IntensityClass] = standard_classes()
+    class_probs: tuple[float, float, float] = (0.5, 0.25, 0.25)
+    channel_a: ChannelModel = ChannelModel()
+    channel_b: ChannelModel = ChannelModel()
+    detector: DetectorModel = DetectorModel()
     rect_prob: float = 0.5
     mode: str = MODE_RANDOM
-    batch_gates: int = DEFAULT_BATCH_GATES
+    batch_gates: int = 1_000_000
     repetition_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
@@ -295,6 +298,10 @@ def sift(tables: CountTables) -> CountTables:
     return out
 
 
+# Default delay grid of an interference scan: start_ns, stop_ns, points.
+DEFAULT_DELAY_GRID = (-3.0, 3.0, 49)
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class HomScanConfig:
     """Two-pulse interference scan configuration.
@@ -302,14 +309,18 @@ class HomScanConfig:
     Both sources send H-polarized pulses of equal mean photon number mu (taken
     at the analyzer).  The temporal overlap at relative delay tau follows
     xi(tau) = (1 - |tau| / pulse_width_ns)^2 for |tau| < pulse_width_ns, else 0.
+
+    Every field has a default, and these defaults are the scan config file's
+    defaults: an empty config file gives HomScanConfig().  The default
+    delays_ns spans DEFAULT_DELAY_GRID evenly.
     """
 
-    mu: float
-    pulse_width_ns: float
-    delays_ns: tuple[float, ...]
-    pulses_per_point: int
-    seed: int
-    detector: DetectorModel
+    mu: float = 0.1
+    pulse_width_ns: float = 1.5
+    delays_ns: tuple[float, ...] = tuple(np.linspace(*DEFAULT_DELAY_GRID).tolist())
+    pulses_per_point: int = 200_000
+    seed: int = 1
+    detector: DetectorModel = DetectorModel()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu) or self.mu < 0.0:

@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,6 @@ import pytest
 from mdiqkd.bsa import DetectorModel
 from mdiqkd.decoy import GainErrorMatrices, analyze_matrices
 from mdiqkd.io_formats import (
-    DEFAULT_CLASS_PROBS,
-    DEFAULT_HOM_PULSES_PER_POINT,
-    DEFAULT_SEED,
-    DEFAULT_SESSION_PULSES,
     FormatError,
     ResultReport,
     TOOL_VERSION,
@@ -31,6 +29,7 @@ from mdiqkd.io_formats import (
     save_gains,
     save_report,
 )
+from mdiqkd.io_formats import _config_defaults
 from mdiqkd.optics import ChannelModel, standard_classes
 from mdiqkd.session import HomScanConfig, SessionConfig, hom_scan, run_session, sift
 
@@ -271,11 +270,7 @@ def test_hom_table_layout() -> None:
 
 
 def test_session_config_defaults_and_full() -> None:
-    config = parse_session_config("")
-    assert config.pulses == DEFAULT_SESSION_PULSES
-    assert config.seed == DEFAULT_SEED
-    assert config.class_probs == DEFAULT_CLASS_PROBS
-    assert config.mode == "random"
+    assert parse_session_config("") == SessionConfig()
     full = parse_session_config(
         "\n".join(
             [
@@ -332,9 +327,9 @@ def test_session_config_overrides_and_errors() -> None:
 
 def test_hom_config_grid_and_conflict() -> None:
     config = parse_hom_config("")
+    assert config == HomScanConfig()
     assert config.mu == 0.1
     assert config.pulse_width_ns == 1.5
-    assert config.pulses_per_point == DEFAULT_HOM_PULSES_PER_POINT
     assert len(config.delays_ns) == 49
     assert config.delays_ns[0] == -3.0
     assert config.delays_ns[-1] == 3.0
@@ -349,3 +344,48 @@ def test_hom_config_grid_and_conflict() -> None:
         parse_hom_config("delays.points = 1\n")
     with pytest.raises(FormatError):
         parse_hom_config("mu = -1\n")
+
+
+def readme_config_tables() -> tuple[dict[str, str], dict[str, str]]:
+    """Key -> default cell of the README's session and scan config tables.
+
+    A `section.*` row whose default is "same" stands for the session table's
+    rows of that section (channel_b.* for channel_a.*).
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^\| key \| default \| meaning \|\n\|[- |]+\n((?:\|.*\n)+)", text, re.M)
+    tables = [
+        dict(re.match(r"\| `([^`]+)` \| (.*?) \|", line).groups() for line in block.splitlines())
+        for block in blocks
+    ]
+    assert len(tables) == 2
+    session = tables[0]
+    expanded = []
+    for table in tables:
+        rows = {}
+        for key, default in table.items():
+            if not key.endswith(".*"):
+                rows[key] = default
+                continue
+            assert default == "same", key
+            section = key[:-2]
+            twin = "channel_a" if section == "channel_b" else section
+            rows.update(
+                {section + k[len(twin):]: d for k, d in session.items() if k.startswith(twin + ".")}
+            )
+        expanded.append(rows)
+    return expanded[0], expanded[1]
+
+
+def test_readme_config_tables_match_reader() -> None:
+    session_rows, hom_rows = readme_config_tables()
+    grid_keys = {"delays.start_ns", "delays.stop_ns", "delays.points"}
+    for parse, rows, keys in (
+        (parse_session_config, session_rows, set(_config_defaults(SessionConfig()))),
+        (parse_hom_config, hom_rows, set(_config_defaults(HomScanConfig())) | grid_keys),
+    ):
+        assert set(rows) == keys
+        default = parse("", strict=True)
+        for key, cell in rows.items():
+            if cell.startswith("`"):
+                assert parse(f"{key} = {cell.strip('`')}", strict=True) == default, key

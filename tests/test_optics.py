@@ -17,7 +17,6 @@ from mdiqkd.optics import (
     SOP_MINUS,
     SOP_PLUS,
     SOP_V,
-    apply_misalignment,
     attenuate,
     poisson_pmf,
     sop_overlap,
@@ -85,25 +84,6 @@ def test_attenuate_decibel_law() -> None:
     assert attenuate(0.5, 19.5) == pytest.approx(0.5 * 10.0 ** (-1.95), abs=EXACT_TOL)
     with pytest.raises(ParameterError):
         attenuate(0.5, -1.0)
-
-
-def test_apply_misalignment_edge_probabilities() -> None:
-    rng = np.random.Generator(np.random.PCG64(1))
-    for _ in range(16):
-        assert apply_misalignment(SOP_H, 0.0, rng) is SOP_H
-    flipped = apply_misalignment(SOP_H, 0.5, np.random.Generator(np.random.PCG64(2)))
-    assert sop_overlap(flipped, SOP_H) in (pytest.approx(0.0), pytest.approx(1.0))
-    with pytest.raises(ParameterError):
-        apply_misalignment(SOP_H, 0.6, rng)
-
-
-def test_apply_misalignment_flip_frequency() -> None:
-    rng = np.random.Generator(np.random.PCG64(7))
-    n = 20000
-    flips = sum(
-        1 for _ in range(n) if sop_overlap(apply_misalignment(SOP_H, 0.1, rng), SOP_V) > 0.5
-    )
-    assert abs(flips / n - 0.1) < 0.01
 
 
 def test_standard_classes_contract() -> None:
