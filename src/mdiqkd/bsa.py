@@ -17,6 +17,15 @@ inputs are exact: the per-phase 16-pattern distribution is a product of
 independent per-detector click laws p = 1 - (1 - dark) exp(-efficiency * n),
 and the phase average is taken with a periodic trapezoid rule whose error
 decays geometrically (Fourier coefficients fall off as modified Bessel I_k).
+
+One engine, _pattern_table, evaluates a batch of inputs (rows) in a single
+array pass over rows x phase nodes x detectors; coherent_click_probs is its
+one-row wrapper.  The interference strength s = efficiency * overlap *
+sqrt(mu_a * mu_b) sets the Fourier bandwidth, and a row needs
+max(phase_nodes, 64 + int(16 s)) nodes.  A batch uses the largest count any
+of its rows needs: the rule is spectral, so extra nodes only shrink a row's
+error.  Counts above MAX_PHASE_NODES (s above about 252) are refused with
+ParameterError before any array is built.
 """
 
 from __future__ import annotations
@@ -27,10 +36,11 @@ import math
 
 import numpy as np
 
-from .optics import ParameterError, PolarizationState
+from .optics import SOP_BY_CODE, ParameterError, PolarizationState
 
 DIST_TOL = 1e-9
 PHASE_NODES = 128
+MAX_PHASE_NODES = 4096
 MAX_FOCK_PHOTONS = 4
 PATTERN_COUNT = 16
 
@@ -177,6 +187,80 @@ def _detector_amplitudes(
     return a, b
 
 
+# Detector amplitudes of each protocol state code (optics.SOP_BY_CODE) as sent
+# by source A and by source B, shape (4 codes, 4 detectors) each.
+_CODE_AMPS_A, _CODE_AMPS_B = (
+    np.array(side) for side in zip(*(_detector_amplitudes(s, s) for s in SOP_BY_CODE))
+)
+
+# Rows x nodes per block of _pattern_table; bounds its working memory to a
+# few MB however many rows a caller passes.
+_BLOCK_ROW_NODES = 1 << 14
+
+
+def _pattern_table(
+    mu_a, mu_b, amp_a, amp_b, overlap, detector: DetectorModel, phase_nodes: int = PHASE_NODES
+) -> np.ndarray:
+    """Click-pattern distributions of a batch of phase-randomized coherent inputs.
+
+    Args:
+        mu_a, mu_b, overlap: per-row mean photon numbers and temporal overlap,
+            shape (n,) or broadcastable to it.
+        amp_a, amp_b: per-row detector amplitudes of each source, shape (n, 4)
+            or broadcastable to it (see _detector_amplitudes).
+        detector: detector model applied identically to all four detectors.
+        phase_nodes: minimum quadrature nodes for the relative-phase average.
+
+    Returns:
+        Array of shape (n, 16): row r is the pattern distribution of input r,
+        pattern index with detector d as bit d - 1.
+    """
+    if not 8 <= phase_nodes <= MAX_PHASE_NODES:
+        raise ParameterError(
+            f"phase_nodes must lie in [8, {MAX_PHASE_NODES}], got {phase_nodes!r}"
+        )
+    mu_a, mu_b, overlap = (np.asarray(x, dtype=float)[..., None] for x in (mu_a, mu_b, overlap))
+    for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
+        bad = mu[~((mu >= 0.0) & (mu < math.inf))]
+        if bad.size:
+            raise ParameterError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
+    # Interference strength sets the Fourier bandwidth of the integrand.
+    root = np.sqrt(mu_a) * np.sqrt(mu_b)
+    strength = detector.efficiency * float(np.max(overlap * root, initial=0.0))
+    if 64.0 + 16.0 * strength >= MAX_PHASE_NODES + 1:
+        raise ParameterError(
+            f"interference strength efficiency * overlap * sqrt(mu_a * mu_b) = "
+            f"{strength:.7g} needs more than MAX_PHASE_NODES = {MAX_PHASE_NODES} "
+            f"phase nodes; it must be below {(MAX_PHASE_NODES - 63) / 16.0!r}"
+        )
+    nodes = max(phase_nodes, 64 + int(16.0 * strength))
+    # The mean photon number at detector d and phase theta is
+    # base_d + Re(cross_d) cos(theta) - Im(cross_d) sin(theta), where the cross
+    # term comes from the common mode, so -efficiency * n over the nodes is
+    # one matrix product.
+    base = mu_a * np.abs(amp_a) ** 2 + mu_b * np.abs(amp_b) ** 2
+    cross = 2.0 * overlap * root * np.conj(amp_a) * amp_b
+    base, cross = (np.atleast_2d(x) for x in np.broadcast_arrays(base, cross))
+    coef = -detector.efficiency * np.stack([base, cross.real, -cross.imag], axis=-1)
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    phase = np.stack([np.ones(nodes), np.cos(theta), np.sin(theta)])
+
+    out = np.empty((len(coef), PATTERN_COUNT))
+    block = max(1, _BLOCK_ROW_NODES // nodes)
+    for lo in range(0, len(coef), block):
+        rows = coef[lo : lo + block]
+        # (no click, click) of each detector, shape (rows, 2, 4, nodes).
+        pair = np.empty((len(rows), 2, 4, nodes))
+        np.exp((rows.reshape(-1, 3) @ phase).reshape(len(rows), 4, nodes), out=pair[:, 0])
+        pair[:, 0] *= 1.0 - detector.dark_prob
+        np.subtract(1.0, pair[:, 0], out=pair[:, 1])
+        # Patterns of detectors (1, 2) and of (3, 4), index 2 * bit_hi + bit_lo.
+        low = (pair[:, :, None, 1] * pair[:, None, :, 0]).reshape(len(rows), 4, nodes)
+        high = (pair[:, :, None, 3] * pair[:, None, :, 2]).reshape(len(rows), 4, nodes)
+        out[lo : lo + block] = (high @ low.transpose(0, 2, 1)).reshape(-1, PATTERN_COUNT) / nodes
+    return out
+
+
 def coherent_click_probs(
     inp: BsaInput, detector: DetectorModel, phase_nodes: int = PHASE_NODES
 ) -> BsaResponse:
@@ -186,35 +270,15 @@ def coherent_click_probs(
         inp: the two mean photon numbers, states, and shared temporal overlap.
         detector: detector model applied identically to all four detectors.
         phase_nodes: quadrature nodes for the relative-phase average; raised
-            automatically when large mean photon numbers need more.
+            automatically when large mean photon numbers need more, up to
+            MAX_PHASE_NODES.
 
     Returns:
         BsaResponse over the 16 click patterns (marginals derivable from it).
     """
-    if phase_nodes < 8:
-        raise ParameterError(f"phase_nodes must be >= 8, got {phase_nodes!r}")
     amp_a, amp_b = _detector_amplitudes(inp.sop_a, inp.sop_b)
-    xi = inp.overlap
-    # Interference strength sets the Fourier bandwidth of the integrand.
-    strength = detector.efficiency * xi * math.sqrt(inp.mu_a * inp.mu_b)
-    nodes = max(phase_nodes, 64 + int(16.0 * strength))
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-
-    own = (1.0 - xi) * (
-        inp.mu_a * np.abs(amp_a) ** 2 + inp.mu_b * np.abs(amp_b) ** 2
-    )
-    common_amp = (
-        math.sqrt(xi * inp.mu_a) * amp_a[None, :]
-        + np.exp(1j * theta)[:, None] * math.sqrt(xi * inp.mu_b) * amp_b[None, :]
-    )
-    n_mean = np.abs(common_amp) ** 2 + own[None, :]
-    p_click = 1.0 - (1.0 - detector.dark_prob) * np.exp(-detector.efficiency * n_mean)
-
-    probs = np.ones((nodes, PATTERN_COUNT))
-    for d in range(4):
-        col = p_click[:, d][:, None]
-        probs *= np.where(_BITS[:, d][None, :], col, 1.0 - col)
-    return BsaResponse(pattern_probs=probs.mean(axis=0))
+    probs = _pattern_table(inp.mu_a, inp.mu_b, amp_a, amp_b, inp.overlap, detector, phase_nodes)
+    return BsaResponse(pattern_probs=probs[0])
 
 
 def _apply_creation(

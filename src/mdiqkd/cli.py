@@ -11,7 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bsa import BellOutcome, BsaInput, DetectorModel, coherent_click_probs, fock_bsa_oracle
+from .bsa import (
+    _CODE_AMPS_A,
+    _CODE_AMPS_B,
+    BellOutcome,
+    BsaResponse,
+    DetectorModel,
+    _pattern_table,
+    fock_bsa_oracle,
+)
 from .decoy import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
@@ -119,17 +127,19 @@ _TABLE_ROWS = (
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    ideal = DetectorModel()
+    _, codes_a, codes_b = zip(*_TABLE_ROWS)
+    wcp_rows = _pattern_table(
+        args.mu, args.mu, _CODE_AMPS_A[list(codes_a)], _CODE_AMPS_B[list(codes_b)], 1.0,
+        DetectorModel(),
+    )
     lines = [
         f"single-photon and weak-coherent analyzer response (wcp mu = {args.mu!r})",
         f"{'basis':<6} {'sop_a':<6} {'sop_b':<6} "
         f"{'1ph_psi+':>9} {'1ph_psi-':>9} {'wcp_psi+':>9} {'wcp_psi-':>9}",
     ]
-    for basis, sa, sb in _TABLE_ROWS:
+    for (basis, sa, sb), wcp_probs in zip(_TABLE_ROWS, wcp_rows):
         single = fock_bsa_oracle(1, 1, SOP_BY_CODE[sa], SOP_BY_CODE[sb]).conditional_fractions
-        wcp = coherent_click_probs(
-            BsaInput(args.mu, args.mu, SOP_BY_CODE[sa], SOP_BY_CODE[sb]), ideal
-        ).conditional_fractions
+        wcp = BsaResponse(pattern_probs=wcp_probs).conditional_fractions
         lines.append(
             f"{basis:<6} {SOP_LABELS[sa]:<6} {SOP_LABELS[sb]:<6} "
             f"{single[BellOutcome.PSI_PLUS]:>9g} {single[BellOutcome.PSI_MINUS]:>9g} "

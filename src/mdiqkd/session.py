@@ -29,12 +29,12 @@ import numpy as np
 from .bsa import (
     COINCIDENCE_PATTERNS,
     PATTERN_COUNT,
-    BsaInput,
     DetectorModel,
-    coherent_click_probs,
+    _CODE_AMPS_A,
+    _CODE_AMPS_B,
+    _pattern_table,
 )
 from .optics import (
-    SOP_BY_CODE,
     ChannelModel,
     IntensityClass,
     ParameterError,
@@ -218,25 +218,19 @@ def _outcome_law(config: SessionConfig) -> np.ndarray:
     analyzer, so an agreeing cell's column law mixes the analyzer responses
     of the four flip combinations.
     """
-    mus_a = [attenuate(c.mu, config.channel_a.loss_db) for c in config.classes]
-    mus_b = [attenuate(c.mu, config.channel_b.loss_db) for c in config.classes]
+    mus_a = np.array([attenuate(c.mu, config.channel_a.loss_db) for c in config.classes])
+    mus_b = np.array([attenuate(c.mu, config.channel_b.loss_db) for c in config.classes])
     overlap = config.channel_a.temporal_overlap * config.channel_b.temporal_overlap
+    ia, ib, sa, sb = np.nonzero(~_MISMATCHED)
+    probs = _pattern_table(
+        mus_a[ia], mus_b[ib], _CODE_AMPS_A[sa], _CODE_AMPS_B[sb], overlap, config.detector
+    )
     seen = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS + 1))
     seen[_MISMATCHED, N_COLUMNS] = 1.0
-    for ia, ib, sa, sb in zip(*np.nonzero(~_MISMATCHED)):
-        probs = coherent_click_probs(
-            BsaInput(
-                mu_a=mus_a[ia],
-                mu_b=mus_b[ib],
-                sop_a=SOP_BY_CODE[sa],
-                sop_b=SOP_BY_CODE[sb],
-                overlap=overlap,
-            ),
-            config.detector,
-        ).pattern_probs
-        seen[ia, ib, sa, sb, :N_COLUMNS] = np.bincount(
-            _FOLD, weights=probs / probs.sum(), minlength=N_COLUMNS
-        )
+    # Fold the 16 patterns into the 7 columns with a one-hot (16, 7) matrix.
+    seen[~_MISMATCHED, :N_COLUMNS] = (
+        probs / probs.sum(axis=1, keepdims=True)
+    ) @ np.eye(N_COLUMNS)[_FOLD]
     mis_a = config.channel_a.misalignment
     mis_b = config.channel_b.misalignment
     sops = np.arange(N_SOPS)
@@ -389,8 +383,6 @@ class HomScanResult:
 def hom_scan(config: HomScanConfig) -> HomScanResult:
     """Run the interference dip scan and return per-delay rates and visibility."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    sop = SOP_BY_CODE[0]
-    c13 = COINCIDENCE_PATTERNS["C13"]
     n = config.pulses_per_point
 
     delays = np.asarray(config.delays_ns, dtype=float)
@@ -398,15 +390,14 @@ def hom_scan(config: HomScanConfig) -> HomScanResult:
     rate_dis = np.empty(delays.shape)
     vis = np.empty(delays.shape)
     stderr = np.empty(delays.shape)
-    p_dis = coherent_click_probs(
-        BsaInput(config.mu, config.mu, sop, sop, overlap=0.0), config.detector
-    ).pattern_probs[c13]
-    for k, tau in enumerate(delays):
-        frac = max(0.0, 1.0 - abs(tau) / config.pulse_width_ns)
-        overlap = frac * frac
-        p_ind = coherent_click_probs(
-            BsaInput(config.mu, config.mu, sop, sop, overlap=overlap), config.detector
-        ).pattern_probs[c13]
+    # Row 0 is the distinguishable reference (overlap 0), then one row per delay.
+    frac = np.maximum(0.0, 1.0 - np.abs(delays) / config.pulse_width_ns)
+    p_c13 = _pattern_table(
+        config.mu, config.mu, _CODE_AMPS_A[0], _CODE_AMPS_B[0],
+        np.concatenate(([0.0], frac * frac)), config.detector,
+    )[:, COINCIDENCE_PATTERNS["C13"]]
+    p_dis = p_c13[0]
+    for k, p_ind in enumerate(p_c13[1:]):
         c_ind = int(rng.binomial(n, p_ind))
         c_dis = int(rng.binomial(n, p_dis))
         r_ind = c_ind / n

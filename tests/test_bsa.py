@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import i0
 
+import mdiqkd.bsa
 from mdiqkd.bsa import (
+    MAX_PHASE_NODES,
     BellOutcome,
     BsaInput,
     BsaResponse,
@@ -15,12 +18,15 @@ from mdiqkd.bsa import (
     PSI_MINUS_PATTERNS,
     PSI_PLUS_PATTERNS,
     UnsupportedSizeError,
+    _detector_amplitudes,
+    _pattern_table,
     classify_outcome,
     coherent_click_probs,
     fock_bsa_oracle,
 )
 from mdiqkd.optics import (
     ParameterError,
+    PolarizationState,
     SOP_BY_CODE,
     SOP_H,
     SOP_MINUS,
@@ -230,3 +236,139 @@ def test_pattern_probs_sum_to_one_across_inputs() -> None:
         for sop_b in SOP_BY_CODE:
             response = coherent_click_probs(BsaInput(0.5, 0.1, sop_a, sop_b), detector)
             assert float(response.pattern_probs.sum()) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_click_probs(
+    mu_a: float,
+    mu_b: float,
+    sop_a: PolarizationState,
+    sop_b: PolarizationState,
+    overlap: float,
+    detector: DetectorModel,
+    phase_nodes: int = 128,
+) -> np.ndarray:
+    """One input's 16-pattern distribution by a per-node, per-detector loop.
+
+    Written out here, independently of the package's batched engine: the
+    coupler and splitter amplitudes, the node rule and the per-detector
+    product over patterns are all restated.
+    """
+    inv = 1.0 / math.sqrt(2.0)
+    amp_a = np.array(
+        [inv * sop_a.amp_h, inv * sop_a.amp_v, 1j * inv * sop_a.amp_h, 1j * inv * sop_a.amp_v]
+    )
+    amp_b = np.array(
+        [1j * inv * sop_b.amp_h, 1j * inv * sop_b.amp_v, inv * sop_b.amp_h, inv * sop_b.amp_v]
+    )
+    strength = detector.efficiency * overlap * math.sqrt(mu_a * mu_b)
+    nodes = max(phase_nodes, 64 + int(16.0 * strength))
+    own = (1.0 - overlap) * (mu_a * np.abs(amp_a) ** 2 + mu_b * np.abs(amp_b) ** 2)
+    probs = np.zeros(16)
+    for k in range(nodes):
+        theta = 2.0 * math.pi * k / nodes
+        common = (
+            math.sqrt(overlap * mu_a) * amp_a
+            + np.exp(1j * theta) * math.sqrt(overlap * mu_b) * amp_b
+        )
+        n_mean = np.abs(common) ** 2 + own
+        p_click = 1.0 - (1.0 - detector.dark_prob) * np.exp(-detector.efficiency * n_mean)
+        for pattern in range(16):
+            term = 1.0
+            for d in range(4):
+                term *= p_click[d] if (pattern >> d) & 1 else 1.0 - p_click[d]
+            probs[pattern] += term
+    return probs / nodes
+
+
+def random_sop(rng: np.random.Generator) -> PolarizationState:
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return PolarizationState(complex(v[0]), complex(v[1]))
+
+
+def assert_rows_match_reference(
+    mu_a, mu_b, sops, overlap, detector, phase_nodes: int = 128
+) -> None:
+    amps = [_detector_amplitudes(sop_a, sop_b) for sop_a, sop_b in sops]
+    amp_a = np.array([a for a, _ in amps])
+    amp_b = np.array([b for _, b in amps])
+    table = _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector, phase_nodes)
+    assert table.shape == (len(sops), 16)
+    for r, (sop_a, sop_b) in enumerate(sops):
+        expected = reference_click_probs(
+            mu_a[r], mu_b[r], sop_a, sop_b, overlap[r], detector, phase_nodes
+        )
+        assert np.max(np.abs(table[r] - expected)) < EXACT_TOL, r
+
+
+def test_pattern_table_rows_match_reference() -> None:
+    rng = np.random.default_rng(20121)
+    detectors = (
+        IDEAL,
+        DetectorModel(efficiency=0.35),
+        DetectorModel(efficiency=0.8, dark_prob=4e-3),
+    )
+    n = 16
+    for detector in detectors:
+        mu_a = rng.uniform(0.0, 10.0, n)
+        mu_b = rng.uniform(0.0, 10.0, n)
+        overlap = rng.uniform(0.0, 1.0, n)
+        mu_a[0] = 0.0
+        mu_b[1] = 0.0
+        mu_a[2] = mu_b[2] = 0.0
+        overlap[3:6] = 0.0
+        overlap[6:9] = 1.0
+        sops = [(random_sop(rng), random_sop(rng)) for _ in range(n - 4)]
+        sops += [(SOP_H, SOP_V), (SOP_PLUS, SOP_PLUS), (SOP_PLUS, SOP_MINUS), (SOP_V, SOP_V)]
+        assert_rows_match_reference(mu_a, mu_b, sops, overlap, detector)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+def test_pattern_table_mixed_node_counts(monkeypatch, rows_per_block) -> None:
+    # At unit efficiency row 2 needs 64 + 16 * 150 = 2464 nodes and the other
+    # rows at most 128.  The batch runs at the largest count, and every row
+    # must still match its own per-row quadrature.  With phase_nodes = 8 the
+    # node rule alone decides, and 64 nodes would leave row 2 off by ~1e-6.
+    # A small block budget splits the batch into blocks of a row or two.
+    if rows_per_block is not None:
+        monkeypatch.setattr(mdiqkd.bsa, "_BLOCK_ROW_NODES", rows_per_block * 2464)
+    rng = np.random.default_rng(7)
+    mu_a = np.array([0.3, 0.05, 150.0, 0.0, 1.2])
+    mu_b = np.array([0.2, 0.05, 150.0, 0.4, 0.01])
+    overlap = np.array([0.9, 1.0, 1.0, 1.0, 0.5])
+    sops = [(random_sop(rng), random_sop(rng)) for _ in range(4)]
+    sops.insert(2, (SOP_PLUS, SOP_PLUS))
+    for detector, phase_nodes in (
+        (IDEAL, 128),
+        (IDEAL, 8),
+        (DetectorModel(efficiency=0.6, dark_prob=1e-3), 8),
+    ):
+        assert_rows_match_reference(mu_a, mu_b, sops, overlap, detector, phase_nodes)
+
+
+def test_phase_node_ceiling() -> None:
+    # 64 + int(16 s) nodes stay within MAX_PHASE_NODES while s < limit.
+    limit = (MAX_PHASE_NODES - 63) / 16.0
+    below, above = limit * (1.0 - 1e-9), limit * (1.0 + 1e-9)
+    response = coherent_click_probs(BsaInput(below, below, SOP_H, SOP_H), IDEAL)
+    assert float(response.pattern_probs.sum()) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ParameterError, match=f"MAX_PHASE_NODES = {MAX_PHASE_NODES}"):
+        coherent_click_probs(BsaInput(above, above, SOP_H, SOP_H), IDEAL)
+    with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
+        coherent_click_probs(BsaInput(1e200, 1e200, SOP_H, SOP_H), IDEAL)
+    with pytest.raises(ParameterError):
+        coherent_click_probs(
+            BsaInput(0.1, 0.1, SOP_H, SOP_H), IDEAL, phase_nodes=MAX_PHASE_NODES + 1
+        )
+    # A batch just above the limit is refused before its arrays are built:
+    # evaluating it would take several MB per intermediate array.
+    amp_a, amp_b = _detector_amplitudes(SOP_H, SOP_H)
+    mus = np.full(72, above)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
+            _pattern_table(mus, mus, amp_a, amp_b, 1.0, IDEAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

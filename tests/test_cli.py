@@ -17,6 +17,7 @@ from test_decoy import (
 )
 
 import mdiqkd
+from mdiqkd.bsa import MAX_PHASE_NODES
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
@@ -116,6 +117,20 @@ def test_module_entry_point_runs_without_warnings(tmp_path) -> None:
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("single-photon and weak-coherent analyzer response")
+
+
+def test_package_entry_point_runs_table1(tmp_path, capsys) -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdiqkd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdiqkd", "table1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert main(["table1"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_unknown_flag_exits_one(capsys) -> None:
@@ -299,3 +314,14 @@ def test_bad_truncation_flag(tmp_path, capsys) -> None:
     assert main(["analyze", counts_path, "--truncation", "51"]) == 1
     assert main(["rate", reference_gains_path(tmp_path), "--truncation", "51"]) == 1
     assert "truncation must lie in [2, 50]" in capsys.readouterr().err
+
+
+def test_phase_node_ceiling_exits_one(tmp_path, capsys) -> None:
+    assert main(["table1", "--mu", "1e9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"MAX_PHASE_NODES = {MAX_PHASE_NODES}" in err
+    config = tmp_path / "hom.cfg"
+    config.write_text("mu = 1e9\ndetector.efficiency = 1.0\n", encoding="utf-8")
+    assert main(["hom-scan", str(config)]) == 1
+    assert "MAX_PHASE_NODES" in capsys.readouterr().err

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mdiqkd.bsa import COINCIDENCE_PATTERNS, BsaInput, DetectorModel, coherent_click_probs
+import mdiqkd.bsa
+import mdiqkd.session
+from mdiqkd.bsa import (
+    COINCIDENCE_PATTERNS,
+    MAX_PHASE_NODES,
+    BsaInput,
+    DetectorModel,
+    coherent_click_probs,
+)
 from mdiqkd.optics import ChannelModel, ParameterError, SOP_BY_CODE, attenuate, standard_classes
 from mdiqkd.session import (
     COUNT_COLUMNS,
@@ -215,6 +223,31 @@ def test_table_sampler_matches_per_gate_reference(mode) -> None:
         assert statistic < threshold, (mode, seed, statistic, threshold)
 
 
+def count_analyzer_calls(monkeypatch) -> list:
+    """Count batch evaluations in session; fail on any scalar analyzer call."""
+    calls = []
+    real_table = mdiqkd.session._pattern_table
+
+    def counting_table(*args, **kwargs):
+        calls.append(1)
+        return real_table(*args, **kwargs)
+
+    def scalar_call(*args, **kwargs):
+        raise AssertionError("coherent_click_probs called")
+
+    monkeypatch.setattr(mdiqkd.session, "_pattern_table", counting_table)
+    monkeypatch.setattr(mdiqkd.bsa, "coherent_click_probs", scalar_call)
+    monkeypatch.setattr(mdiqkd.session, "coherent_click_probs", scalar_call, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["random", "sweep"])
+def test_run_session_evaluates_analyzer_once(monkeypatch, mode) -> None:
+    calls = count_analyzer_calls(monkeypatch)
+    run_session(make_config(pulses=10_000, mode=mode))
+    assert len(calls) == 1
+
+
 def test_sift_zeroes_mismatched_and_flags() -> None:
     tables = run_session(make_config(pulses=300_000))
     sifted = sift(tables)
@@ -338,3 +371,47 @@ def test_hom_config_validation() -> None:
         make_hom_config(delays_ns=())
     with pytest.raises(ParameterError):
         make_hom_config(pulses_per_point=0)
+
+
+def test_hom_scan_rates_follow_analyzer_response() -> None:
+    # 1e9 pulses per delay put each rate within ~1% of its C13 probability,
+    # taken from the scalar analyzer at xi(tau) = (1 - |tau| / width)^2.
+    config = make_hom_config(delays_ns=(-3.0, -1.0, -0.25, 0.0, 0.75), pulses_per_point=10**9)
+    result = hom_scan(config)
+    c13 = COINCIDENCE_PATTERNS["C13"]
+    sop = SOP_BY_CODE[0]
+
+    def c13_prob(overlap: float) -> float:
+        return coherent_click_probs(
+            BsaInput(config.mu, config.mu, sop, sop, overlap=overlap), config.detector
+        ).pattern_probs[c13]
+
+    p_dis = c13_prob(0.0)
+    for k, tau in enumerate(config.delays_ns):
+        p_ind = c13_prob(max(0.0, 1.0 - abs(tau) / config.pulse_width_ns) ** 2)
+        pairs = ((result.rate_indistinguishable[k], p_ind), (result.rate_distinguishable[k], p_dis))
+        for rate, p in pairs:
+            sigma = math.sqrt(p * (1.0 - p) / config.pulses_per_point)
+            assert abs(rate - p) < Z_LIMIT * sigma, (tau, rate, p)
+
+
+def test_hom_scan_evaluates_analyzer_once(monkeypatch) -> None:
+    calls = count_analyzer_calls(monkeypatch)
+    hom_scan(make_hom_config(pulses_per_point=1_000))
+    assert len(calls) == 1
+
+
+def test_phase_node_ceiling_refuses_session_and_scan() -> None:
+    # With unit efficiency and full overlap, mu above (MAX_PHASE_NODES - 63) / 16
+    # at the analyzer needs more quadrature nodes than the ceiling allows.
+    huge = 1e9
+    config = make_config(
+        classes=standard_classes(huge, 0.1),
+        channel_a=ChannelModel(),
+        channel_b=ChannelModel(),
+        detector=DetectorModel(),
+    )
+    with pytest.raises(ParameterError, match=f"MAX_PHASE_NODES = {MAX_PHASE_NODES}"):
+        run_session(config)
+    with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
+        hom_scan(make_hom_config(mu=huge, detector=DetectorModel()))
