@@ -30,6 +30,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .optics import ParameterError, poisson_pmf
+from .session import COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
 # Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
@@ -464,49 +465,40 @@ def global_gain_qber(
     return gain, qber
 
 
-def _basis_cells(basis: str) -> tuple[tuple[int, int], ...]:
-    if basis == "rect":
-        return ((0, 0), (0, 1), (1, 0), (1, 1))
-    if basis == "diag":
-        return ((2, 2), (2, 3), (3, 2), (3, 3))
-    raise ParameterError(f"basis must be 'rect' or 'diag', got {basis!r}")
+# Same-basis state codes of each basis, and the error columns of each of its
+# four cells (a, b), shape (2, 2, 7): for rectilinear preparation both
+# conclusive outcomes imply anticorrelated bits, so identical-bit cells are
+# errors in all four conclusive columns.  For diagonal preparation the
+# {1,4}/{2,3} outcome implies anticorrelated bits while {1,2}/{3,4} implies
+# correlated ones, so the erroneous columns depend on the prepared pair.
+_BASIS_SOPS = {"rect": slice(0, 2), "diag": slice(2, 4)}
+_SAME_BIT = np.eye(2, dtype=bool)[:, :, None]
+_ERROR_COLUMNS = {
+    "rect": _SAME_BIT & np.isin(COUNT_COLUMNS, ("c12", "c34", "c14", "c23")),
+    "diag": np.where(
+        _SAME_BIT, np.isin(COUNT_COLUMNS, ("c14", "c23")), np.isin(COUNT_COLUMNS, ("c12", "c34"))
+    ),
+}
+
+
+def _basis_block(tables, basis: str) -> tuple[np.ndarray, np.ndarray]:
+    """pulses_sent (3, 3, 2, 2) and counts (3, 3, 2, 2, 7) of a basis's same-basis cells."""
+    if basis not in _BASIS_SOPS:
+        raise ParameterError(f"basis must be 'rect' or 'diag', got {basis!r}")
+    sops = _BASIS_SOPS[basis]
+    return tables.pulses_sent[:, :, sops, sops], tables.counts[:, :, sops, sops]
 
 
 def gains_from_counts(tables, basis: str) -> np.ndarray:
     """Per-intensity-pair gain: mean over the four same-basis cells of the
     conclusive-count rate."""
-    cells = _basis_cells(basis)
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            rates = []
-            for sa, sb in cells:
-                pulses = int(tables.pulses_sent[i, j, sa, sb])
-                if pulses <= 0:
-                    raise InsufficientCountsError(
-                        f"cell ({i}, {j}, {sa}, {sb}) has no pulses"
-                    )
-                rates.append(tables.conclusive_sum(i, j, sa, sb) / pulses)
-            out[i, j] = sum(rates) / len(rates)
-    return out
-
-
-# Error bookkeeping per basis: for rectilinear preparation both conclusive
-# outcomes imply anticorrelated bits, so identical-bit cells are errors for
-# all four conclusive classes.  For diagonal preparation the {1,4}/{2,3}
-# outcome implies anticorrelated bits while {1,2}/{3,4} implies correlated
-# ones, so the erroneous classes depend on the prepared pair.
-_PSI_PLUS_CLASSES = ("C12", "C34")
-_PSI_MINUS_CLASSES = ("C14", "C23")
-
-
-def _wrong_counts(tables, i: int, j: int, sa: int, sb: int, basis: str) -> int:
-    same_bit = (sa & 1) == (sb & 1)
-    if basis == "rect":
-        classes = _PSI_PLUS_CLASSES + _PSI_MINUS_CLASSES if same_bit else ()
-    else:
-        classes = _PSI_MINUS_CLASSES if same_bit else _PSI_PLUS_CLASSES
-    return sum(tables.coincidence(i, j, sa, sb, name) for name in classes)
+    pulses, counts = _basis_block(tables, basis)
+    empty = np.argwhere(pulses <= 0)
+    if len(empty):
+        i, j, a, b = empty[0].tolist()
+        first = _BASIS_SOPS[basis].start
+        raise InsufficientCountsError(f"cell ({i}, {j}, {first + a}, {first + b}) has no pulses")
+    return (counts[..., :4].sum(axis=-1) / pulses).mean(axis=(2, 3))
 
 
 def errors_from_counts(tables, basis: str) -> tuple[np.ndarray, list[str]]:
@@ -516,25 +508,15 @@ def errors_from_counts(tables, basis: str) -> tuple[np.ndarray, list[str]]:
     defaults to the random-outcome value 0.5 with a warning, the same
     convention the vacuum-vacuum pair uses.
     """
-    cells = _basis_cells(basis)
-    out = np.zeros((3, 3))
-    warnings: list[str] = []
-    for i in range(3):
-        for j in range(3):
-            wrong = 0
-            total = 0
-            for sa, sb in cells:
-                total += tables.conclusive_sum(i, j, sa, sb)
-                wrong += _wrong_counts(tables, i, j, sa, sb, basis)
-            if total == 0:
-                out[i, j] = 0.5
-                warnings.append(
-                    f"{basis} intensity pair ({i}, {j}) has no conclusive counts; "
-                    "error rate defaulted to 0.5"
-                )
-            else:
-                out[i, j] = wrong / total
-    return out, warnings
+    _, counts = _basis_block(tables, basis)
+    total = counts[..., :4].sum(axis=(2, 3, 4))
+    wrong = (counts * _ERROR_COLUMNS[basis]).sum(axis=(2, 3, 4))
+    warnings = [
+        f"{basis} intensity pair ({i}, {j}) has no conclusive counts; "
+        "error rate defaulted to 0.5"
+        for i, j in np.argwhere(total == 0).tolist()
+    ]
+    return np.divide(wrong, total, out=np.full((3, 3), 0.5), where=total > 0), warnings
 
 
 def matrices_from_counts(tables) -> tuple[GainErrorMatrices, list[str]]:

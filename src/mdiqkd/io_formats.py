@@ -1,29 +1,30 @@
 """Versioned text formats for counts, gain tables, reports, and configs.
 
-All formats are line-oriented UTF-8 text.  Data files (counts, gains,
-reports) start with a "format: <name> <major>.<minor>" line; loading a file
-whose major version differs from the writer's fails loudly.  Serialization
-is canonical: fixed key order, single-space separation, floats via repr,
-rows in declared intensity order then state-code order, "\n" newlines.
-Loaders additionally accept blank lines and full-line "#" comments so the
-files stay hand-editable; such input is non-canonical and is normalized
-away by a save.  Config files use flat "key = value" lines.  Their keys are
-the fields of SessionConfig and HomScanConfig, with dotted names for nested
-fields (for example channel_a.loss_db) and classes.<label> for an intensity
-class's mu; each key's default is the dataclass default, and its value is
-parsed by that default's type.  Scan configs also take a
-delays.start_ns / delays.stop_ns / delays.points grid.
+All formats are line-oriented UTF-8 text.  One writer renders every data
+file (counts, gains, reports, scan tables): a "format: <name> <major>.<minor>"
+line, "key: value" header lines in a fixed order, then rows of fields joined
+by single spaces; floats via repr, rows in declared intensity order then
+state-code order, "\n" newlines.  One reader loads counts and gains files:
+the header runs from the format line through the "columns" line, every later
+line is a data row, and a major version other than the writer's fails
+loudly.  Loaders accept blank lines and full-line "#" comments so the files
+stay hand-editable; a save normalizes them away.  Config files use flat
+"key = value" lines.  Their keys are the fields of SessionConfig and
+HomScanConfig, with dotted names for nested fields (for example
+channel_a.loss_db) and classes.<label> for an intensity class's mu; each
+key's default is the dataclass default, and its value is parsed by that
+default's type.  Scan configs also take a delays.start_ns / delays.stop_ns /
+delays.points grid.
 
 Unknown header keys and unknown config keys raise in strict mode and warn
-otherwise.  Structural problems (bad version, duplicate cells, malformed
-rows) always raise FormatError with file and line context.
+otherwise.  Structural problems (bad version, duplicate keys or cells,
+malformed rows) always raise FormatError with file and line context.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import os
 import warnings as _warnings
 
@@ -57,6 +58,9 @@ _SOP_CODE_BY_TOKEN = {token: code for code, token in enumerate(SOP_TOKENS)}
 
 _COUNTS_COLUMNS_LINE = "class_a class_b sop_a sop_b pulses_sent " + " ".join(COUNT_COLUMNS)
 _GAINS_COLUMNS_LINE = "mu_a mu_b q_rect q_diag e_rect e_diag"
+_HOM_COLUMNS_LINE = (
+    "delay_ns rate_indistinguishable rate_distinguishable visibility visibility_stderr"
+)
 
 
 class FormatError(ValueError):
@@ -90,10 +94,6 @@ def _write_atomic(text: str, path: str) -> None:
 
 def _fmt_float(value: float) -> str:
     return repr(float(value))
-
-
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _parse_bool(token: str, context: str) -> bool:
@@ -139,214 +139,168 @@ def _check_version(value: str, expected_name: str, context: str) -> None:
         )
 
 
-class _HeaderReader:
-    """Walks 'key: value' lines, tracking line numbers and duplicate keys."""
-
-    def __init__(self, lines: list[tuple[int, str]], source: str):
-        self.lines = lines
-        self.source = source
-        self.pos = 0
-        self.seen: set[str] = set()
-
-    def context(self, lineno: int) -> str:
-        return f"{self.source}:{lineno}"
-
-    def next_pair(self) -> tuple[int, str, str] | None:
-        if self.pos >= len(self.lines):
-            return None
-        lineno, line = self.lines[self.pos]
-        if ":" not in line:
-            return None
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if not key or " " in key:
-            return None
-        self.pos += 1
-        if key in self.seen:
-            raise FormatError(f"{self.context(lineno)}: duplicate header key {key!r}")
-        self.seen.add(key)
-        return lineno, key, value.strip()
-
-    def rest(self) -> list[tuple[int, str]]:
-        return self.lines[self.pos:]
-
-
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+    """(line number, stripped line) of each line that is not blank or a "#" comment."""
+    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)]
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
-def _read_header(
-    reader: _HeaderReader,
-    format_name: str,
-    stop_key: str | None,
-    known: set[str],
-    strict: bool,
-) -> dict[str, tuple[int, str]]:
-    """Read header pairs through stop_key (or to the first non-pair line)."""
-    first = reader.next_pair()
-    if first is None or first[1] != "format":
-        where = reader.context(first[0]) if first else reader.source
-        raise FormatError(f"{where}: first line must be 'format: {format_name} <version>'")
-    _check_version(first[2], format_name, reader.context(first[0]))
-    header: dict[str, tuple[int, str]] = {}
-    while True:
-        pair = reader.next_pair()
-        if pair is None:
-            if stop_key is not None:
-                raise FormatError(f"{reader.source}: missing header key {stop_key!r}")
-            return header
-        lineno, key, value = pair
-        if key not in known:
-            message = f"{reader.context(lineno)}: unknown header key {key!r}"
+def _render(format_name: str, header, rows) -> str:
+    """Canonical data-file text.
+
+    The format line, then one "key: value" line per (key, value) pair of
+    header, then one line per row of string fields, joined by single spaces.
+    """
+    lines = [f"format: {format_name} {FORMAT_VERSION}"]
+    lines += [f"{key}: {value}" for key, value in header]
+    lines += [" ".join(fields) for fields in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_data_file(
+    text: str, format_name: str, keys: tuple[str, ...], columns: str, strict: bool, source: str
+) -> tuple[dict[str, tuple[str, str]], list[tuple[str, list[str]]]]:
+    """Split data-file text into its header values and data rows.
+
+    The header is the "key: value" lines from the format line through the
+    columns line; every later content line is a data row.  Checks the format
+    name and major version, duplicate keys (unknown ones included), unknown
+    keys (an error if strict, else a warning), that each of keys is present
+    and that the columns line reads columns.
+
+    Returns (header, rows): header maps each key read to (value,
+    "source:line"), and rows lists ("source:line", whitespace-split fields)
+    in file order.
+    """
+    first_line = f"first line must be 'format: {format_name} <version>'"
+    lines = _content_lines(text)
+    header: dict[str, tuple[str, str]] = {}
+    for lineno, line in lines:
+        key, sep, value = line.partition(":")
+        key = key.strip()
+        if not sep or not key or " " in key:
+            break
+        where = f"{source}:{lineno}"
+        if not header and key != "format":
+            raise FormatError(f"{where}: {first_line}")
+        if key in header:
+            raise FormatError(f"{where}: duplicate header key {key!r}")
+        header[key] = (value.strip(), where)
+        if key == "format":
+            _check_version(value.strip(), format_name, where)
+        elif key == "columns":
+            break
+        elif key not in keys:
+            message = f"{where}: unknown header key {key!r}"
             if strict:
                 raise FormatError(message)
             _warnings.warn(message, stacklevel=3)
-            continue
-        header[key] = (lineno, value)
-        if key == stop_key:
-            return header
-
-
-def _require(header: dict[str, tuple[int, str]], key: str, source: str) -> tuple[int, str]:
-    if key not in header:
-        raise FormatError(f"{source}: missing header key {key!r}")
-    return header[key]
+    if not header:
+        raise FormatError(f"{source}: {first_line}")
+    if "columns" not in header:
+        raise FormatError(f"{source}: missing header key 'columns'")
+    value, where = header["columns"]
+    if value != columns:
+        raise FormatError(f"{where}: unsupported column layout {value!r}")
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"{source}: missing header key {key!r}")
+    rows = [(f"{source}:{lineno}", line.split()) for lineno, line in lines[len(header):]]
+    return header, rows
 
 
 # Counts files.
 
-_COUNTS_HEADER_KEYS = {
-    "format",
-    "classes",
-    "pulses_total",
-    "seed",
-    "mode",
-    "sifted",
-    "repetition_rate_hz",
-    "columns",
-}
+_COUNTS_HEADER_KEYS = ("classes", "pulses_total", "seed", "mode", "sifted", "repetition_rate_hz")
 
 
 def format_counts(tables: CountTables) -> str:
     """Canonical text serialization of count tables."""
-    for label in tables.class_labels:
+    labels = tables.class_labels
+    for label in labels:
         if "=" in label or ":" in label:
             raise FormatError(
                 f"class label {label!r} cannot be serialized ('=' and ':' reserved)"
             )
-    out = io.StringIO()
-    out.write(f"format: {COUNTS_FORMAT} {FORMAT_VERSION}\n")
-    pairs = " ".join(
-        f"{label}={_fmt_float(mu)}"
-        for label, mu in zip(tables.class_labels, tables.class_mus)
+    classes = " ".join(f"{label}={_fmt_float(mu)}" for label, mu in zip(labels, tables.class_mus))
+    header = [
+        ("classes", classes),
+        ("pulses_total", int(tables.pulses_total)),
+        ("seed", int(tables.seed)),
+        ("mode", tables.mode),
+        ("sifted", "true" if tables.sifted else "false"),
+        ("repetition_rate_hz", _fmt_float(tables.repetition_rate_hz)),
+        ("columns", _COUNTS_COLUMNS_LINE),
+    ]
+    # Only cells with pulses or counts are written.  np.nonzero and boolean
+    # indexing both walk the cells in C order: intensity pair, then state codes.
+    written = (tables.pulses_sent != 0) | tables.counts.any(axis=-1)
+    numbers = np.column_stack((tables.pulses_sent[written], tables.counts[written])).tolist()
+    rows = (
+        (labels[ia], labels[ib], SOP_TOKENS[sa], SOP_TOKENS[sb], *map(str, cell))
+        for ia, ib, sa, sb, cell in zip(*np.nonzero(written), numbers)
     )
-    out.write(f"classes: {pairs}\n")
-    out.write(f"pulses_total: {int(tables.pulses_total)}\n")
-    out.write(f"seed: {int(tables.seed)}\n")
-    out.write(f"mode: {tables.mode}\n")
-    out.write(f"sifted: {_fmt_bool(tables.sifted)}\n")
-    out.write(f"repetition_rate_hz: {_fmt_float(tables.repetition_rate_hz)}\n")
-    out.write(f"columns: {_COUNTS_COLUMNS_LINE}\n")
-    for ia in range(N_CLASSES):
-        for ib in range(N_CLASSES):
-            for sa in range(N_SOPS):
-                for sb in range(N_SOPS):
-                    pulses = int(tables.pulses_sent[ia, ib, sa, sb])
-                    row = [int(c) for c in tables.counts[ia, ib, sa, sb]]
-                    if pulses == 0 and not any(row):
-                        continue
-                    fields = [
-                        tables.class_labels[ia],
-                        tables.class_labels[ib],
-                        SOP_TOKENS[sa],
-                        SOP_TOKENS[sb],
-                        str(pulses),
-                        *[str(c) for c in row],
-                    ]
-                    out.write(" ".join(fields) + "\n")
-    return out.getvalue()
+    return _render(COUNTS_FORMAT, header, rows)
 
 
 def parse_counts(text: str, strict: bool = False, source: str = "<string>") -> CountTables:
     """Parse counts-file text into CountTables."""
-    reader = _HeaderReader(_content_lines(text), source)
-    header = _read_header(reader, COUNTS_FORMAT, "columns", _COUNTS_HEADER_KEYS, strict)
-
-    lineno, value = _require(header, "columns", source)
-    if value != _COUNTS_COLUMNS_LINE:
-        raise FormatError(f"{source}:{lineno}: unsupported column layout {value!r}")
-
-    lineno, value = _require(header, "classes", source)
+    header, rows = _read_data_file(
+        text, COUNTS_FORMAT, _COUNTS_HEADER_KEYS, _COUNTS_COLUMNS_LINE, strict, source
+    )
+    value, where = header["classes"]
     labels: list[str] = []
     mus: list[float] = []
     for token in value.split():
         name, sep, mu_text = token.partition("=")
         if not sep or not name:
-            raise FormatError(
-                f"{source}:{lineno}: class entries must be label=mu, got {token!r}"
-            )
+            raise FormatError(f"{where}: class entries must be label=mu, got {token!r}")
         labels.append(name)
-        mus.append(_parse_float(mu_text, f"{source}:{lineno}"))
+        mus.append(_parse_float(mu_text, where))
     if len(labels) != N_CLASSES:
-        raise FormatError(
-            f"{source}:{lineno}: expected {N_CLASSES} classes, got {len(labels)}"
-        )
+        raise FormatError(f"{where}: expected {N_CLASSES} classes, got {len(labels)}")
     if len(set(labels)) != N_CLASSES:
-        raise FormatError(f"{source}:{lineno}: class labels must be distinct")
+        raise FormatError(f"{where}: class labels must be distinct")
     class_index = {label: k for k, label in enumerate(labels)}
 
-    lineno, value = _require(header, "pulses_total", source)
-    pulses_total = _parse_int(value, f"{source}:{lineno}")
+    pulses_total = _parse_int(*header["pulses_total"])
     if pulses_total < 0:
-        raise FormatError(f"{source}:{lineno}: pulses_total must be >= 0")
-    lineno, value = _require(header, "seed", source)
-    seed = _parse_int(value, f"{source}:{lineno}")
-    lineno, value = _require(header, "mode", source)
-    mode = value
+        raise FormatError(f"{header['pulses_total'][1]}: pulses_total must be >= 0")
+    seed = _parse_int(*header["seed"])
+    mode, where = header["mode"]
     if not mode or " " in mode:
-        raise FormatError(f"{source}:{lineno}: mode must be a single token")
-    lineno, value = _require(header, "sifted", source)
-    sifted = _parse_bool(value, f"{source}:{lineno}")
-    lineno, value = _require(header, "repetition_rate_hz", source)
-    repetition_rate_hz = _parse_float(value, f"{source}:{lineno}")
+        raise FormatError(f"{where}: mode must be a single token")
+    sifted = _parse_bool(*header["sifted"])
+    repetition_rate_hz = _parse_float(*header["repetition_rate_hz"])
 
     pulses_sent = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=np.int64)
     counts = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS), dtype=np.int64)
     filled = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=bool)
-    for lineno, line in reader.rest():
-        fields = line.split()
+    for where, fields in rows:
         if len(fields) != 5 + N_COLUMNS:
             raise FormatError(
-                f"{source}:{lineno}: expected {5 + N_COLUMNS} fields, got {len(fields)}"
+                f"{where}: expected {5 + N_COLUMNS} fields, got {len(fields)}"
             )
-        where = f"{source}:{lineno}"
         cell = []
-        for field in (fields[0], fields[1]):
+        for field in fields[:2]:
             if field not in class_index:
                 raise FormatError(f"{where}: unknown class label {field!r}")
             cell.append(class_index[field])
-        for field in (fields[2], fields[3]):
+        for field in fields[2:4]:
             if field not in _SOP_CODE_BY_TOKEN:
                 raise FormatError(f"{where}: unknown state token {field!r}")
             cell.append(_SOP_CODE_BY_TOKEN[field])
-        ia, ib, sa, sb = cell
-        if filled[ia, ib, sa, sb]:
-            raise FormatError(
-                f"{where}: duplicate cell "
-                f"{fields[0]} {fields[1]} {fields[2]} {fields[3]}"
-            )
-        filled[ia, ib, sa, sb] = True
+        cell = tuple(cell)
+        if filled[cell]:
+            raise FormatError(f"{where}: duplicate cell {' '.join(fields[:4])}")
+        filled[cell] = True
         numbers = [_parse_int(f, where) for f in fields[4:]]
-        if any(n < 0 for n in numbers):
+        if min(numbers) < 0:
             raise FormatError(f"{where}: counts must be non-negative")
-        pulses_sent[ia, ib, sa, sb] = numbers[0]
-        counts[ia, ib, sa, sb] = numbers[1:]
+        if max(numbers) >= 2**63:
+            raise FormatError(f"{where}: counts must be below 2**63")
+        pulses_sent[cell] = numbers[0]
+        counts[cell] = numbers[1:]
 
     try:
         return CountTables(
@@ -377,52 +331,33 @@ def load_counts(path: str, strict: bool = False) -> CountTables:
 
 # Gain/error tables.
 
-_GAINS_HEADER_KEYS = {"format", "mus", "columns"}
-
 
 def format_gains(matrices: GainErrorMatrices) -> str:
     """Canonical text serialization of measured gain and error matrices."""
-    out = io.StringIO()
-    out.write(f"format: {GAINS_FORMAT} {FORMAT_VERSION}\n")
-    out.write("mus: " + " ".join(_fmt_float(mu) for mu in matrices.mus) + "\n")
-    out.write(f"columns: {_GAINS_COLUMNS_LINE}\n")
-    for i in range(3):
-        for j in range(3):
-            fields = [
-                _fmt_float(matrices.mus[i]),
-                _fmt_float(matrices.mus[j]),
-                _fmt_float(matrices.q_rect[i, j]),
-                _fmt_float(matrices.q_diag[i, j]),
-                _fmt_float(matrices.e_rect[i, j]),
-                _fmt_float(matrices.e_diag[i, j]),
-            ]
-            out.write(" ".join(fields) + "\n")
-    return out.getvalue()
+    mus = [_fmt_float(mu) for mu in matrices.mus]
+    values = np.stack((matrices.q_rect, matrices.q_diag, matrices.e_rect, matrices.e_diag))
+    rows = (
+        (mus[i], mus[j], *map(_fmt_float, values[:, i, j])) for i in range(3) for j in range(3)
+    )
+    return _render(GAINS_FORMAT, [("mus", " ".join(mus)), ("columns", _GAINS_COLUMNS_LINE)], rows)
 
 
 def parse_gains(
     text: str, strict: bool = False, source: str = "<string>"
 ) -> GainErrorMatrices:
     """Parse gain-table text into GainErrorMatrices."""
-    reader = _HeaderReader(_content_lines(text), source)
-    header = _read_header(reader, GAINS_FORMAT, "columns", _GAINS_HEADER_KEYS, strict)
-
-    lineno, value = _require(header, "columns", source)
-    if value != _GAINS_COLUMNS_LINE:
-        raise FormatError(f"{source}:{lineno}: unsupported column layout {value!r}")
-    lineno, value = _require(header, "mus", source)
-    mus = [_parse_float(t, f"{source}:{lineno}") for t in value.split()]
+    header, rows = _read_data_file(
+        text, GAINS_FORMAT, ("mus",), _GAINS_COLUMNS_LINE, strict, source
+    )
+    value, where = header["mus"]
+    mus = [_parse_float(t, where) for t in value.split()]
     if len(mus) != 3:
-        raise FormatError(f"{source}:{lineno}: expected 3 intensities, got {len(mus)}")
+        raise FormatError(f"{where}: expected 3 intensities, got {len(mus)}")
 
-    q_rect = np.zeros((3, 3))
-    q_diag = np.zeros((3, 3))
-    e_rect = np.zeros((3, 3))
-    e_diag = np.zeros((3, 3))
+    # q_rect, q_diag, e_rect, e_diag: the value columns in file order.
+    values = np.zeros((4, 3, 3))
     filled = np.zeros((3, 3), dtype=bool)
-    for lineno, line in reader.rest():
-        where = f"{source}:{lineno}"
-        fields = line.split()
+    for where, fields in rows:
         if len(fields) != 6:
             raise FormatError(f"{where}: expected 6 fields, got {len(fields)}")
         pair = []
@@ -435,18 +370,13 @@ def parse_gains(
         if filled[i, j]:
             raise FormatError(f"{where}: duplicate intensity pair {fields[0]} {fields[1]}")
         filled[i, j] = True
-        q_rect[i, j] = _parse_float(fields[2], where)
-        q_diag[i, j] = _parse_float(fields[3], where)
-        e_rect[i, j] = _parse_float(fields[4], where)
-        e_diag[i, j] = _parse_float(fields[5], where)
+        values[:, i, j] = [_parse_float(f, where) for f in fields[2:]]
     if not filled.all():
         missing = [(i, j) for i in range(3) for j in range(3) if not filled[i, j]]
         raise FormatError(f"{source}: missing intensity pairs {missing}")
 
     try:
-        return GainErrorMatrices(
-            mus=tuple(mus), q_rect=q_rect, q_diag=q_diag, e_rect=e_rect, e_diag=e_diag
-        )
+        return GainErrorMatrices(tuple(mus), *values)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -478,31 +408,36 @@ class ResultReport:
 def format_report(report: ResultReport) -> str:
     """Canonical text serialization of an analysis report."""
     result = report.result
-    out = io.StringIO()
-    out.write(f"format: {REPORT_FORMAT} {FORMAT_VERSION}\n")
-    out.write(f"tool_version: {report.tool_version}\n")
-    out.write(f"input_sha256: {report.input_sha256 or '-'}\n")
+    header = [
+        ("tool_version", report.tool_version),
+        ("input_sha256", report.input_sha256 or "-"),
+    ]
     if report.seed is not None:
-        out.write(f"seed: {int(report.seed)}\n")
-    out.write(f"truncation: {int(result.truncation)}\n")
-    out.write(f"f_ec: {_fmt_float(result.f_ec)}\n")
-    out.write("mus: " + " ".join(_fmt_float(mu) for mu in result.mus) + "\n")
-    for name in (
-        "y11_lower",
-        "e11_upper",
-        "q11",
-        "q_rect_measured",
-        "q_rect_reconstructed",
-        "q_rect_global",
-        "e_rect_global",
-        "rate",
-    ):
-        out.write(f"{name}: {_fmt_float(getattr(result, name))}\n")
-    out.write(f"warnings: {len(result.warnings)}\n")
-    for k, message in enumerate(result.warnings, start=1):
-        flat = " ".join(str(message).split())
-        out.write(f"warning_{k}: {flat}\n")
-    return out.getvalue()
+        header.append(("seed", int(report.seed)))
+    header += [
+        ("truncation", int(result.truncation)),
+        ("f_ec", _fmt_float(result.f_ec)),
+        ("mus", " ".join(_fmt_float(mu) for mu in result.mus)),
+    ]
+    header += [
+        (name, _fmt_float(getattr(result, name)))
+        for name in (
+            "y11_lower",
+            "e11_upper",
+            "q11",
+            "q_rect_measured",
+            "q_rect_reconstructed",
+            "q_rect_global",
+            "e_rect_global",
+            "rate",
+        )
+    ]
+    header.append(("warnings", len(result.warnings)))
+    header += [
+        (f"warning_{k}", " ".join(str(message).split()))
+        for k, message in enumerate(result.warnings, start=1)
+    ]
+    return _render(REPORT_FORMAT, header, ())
 
 
 def save_report(report: ResultReport, path: str) -> None:
@@ -515,25 +450,19 @@ def save_report(report: ResultReport, path: str) -> None:
 
 def format_hom_table(result: HomScanResult) -> str:
     """Canonical text serialization of an interference-scan result."""
-    out = io.StringIO()
-    out.write(f"format: {HOM_FORMAT} {FORMAT_VERSION}\n")
-    out.write(f"pulse_width_ns: {_fmt_float(result.pulse_width_ns)}\n")
-    width = result.dip_width_ns()
-    out.write(f"dip_width_ns: {_fmt_float(width)}\n")
-    out.write(
-        "columns: delay_ns rate_indistinguishable rate_distinguishable "
-        "visibility visibility_stderr\n"
+    header = [
+        ("pulse_width_ns", _fmt_float(result.pulse_width_ns)),
+        ("dip_width_ns", _fmt_float(result.dip_width_ns())),
+        ("columns", _HOM_COLUMNS_LINE),
+    ]
+    columns = (
+        result.delays_ns,
+        result.rate_indistinguishable,
+        result.rate_distinguishable,
+        result.visibility,
+        result.visibility_stderr,
     )
-    for k in range(len(result.delays_ns)):
-        fields = [
-            _fmt_float(result.delays_ns[k]),
-            _fmt_float(result.rate_indistinguishable[k]),
-            _fmt_float(result.rate_distinguishable[k]),
-            _fmt_float(result.visibility[k]),
-            _fmt_float(result.visibility_stderr[k]),
-        ]
-        out.write(" ".join(fields) + "\n")
-    return out.getvalue()
+    return _render(HOM_FORMAT, header, (map(_fmt_float, row) for row in zip(*columns)))
 
 
 # Config files: flat "key = value" lines with dotted section names.  The keys

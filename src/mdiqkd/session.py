@@ -120,8 +120,10 @@ class SessionConfig:
             raise ParameterError(f"batch_gates must be >= 1, got {self.batch_gates!r}")
         validate_classes(self.classes)
         probs = self.class_probs
-        if len(probs) != N_CLASSES or any(p < 0.0 for p in probs):
-            raise ParameterError(f"class_probs must be 3 probabilities >= 0, got {probs!r}")
+        if len(probs) != N_CLASSES or not all(0.0 <= p < math.inf for p in probs):
+            raise ParameterError(
+                f"class_probs must be 3 finite probabilities >= 0, got {probs!r}"
+            )
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ParameterError(f"class_probs must sum to 1, got {probs!r}")
         if not 0.0 <= self.rect_prob <= 1.0:
@@ -130,9 +132,9 @@ class SessionConfig:
             raise ParameterError(
                 f"mode must be {MODE_RANDOM!r} or {MODE_SWEEP!r}, got {self.mode!r}"
             )
-        if not self.repetition_rate_hz > 0.0:
+        if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ParameterError(
-                f"repetition_rate_hz must be > 0, got {self.repetition_rate_hz!r}"
+                f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
             )
 
 
@@ -167,9 +169,9 @@ class CountTables:
             raise ParameterError(
                 f"counts must have shape (3, 3, 4, 4, 7), got {self.counts.shape!r}"
             )
-        if not self.repetition_rate_hz > 0.0:
+        if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ParameterError(
-                f"repetition_rate_hz must be > 0, got {self.repetition_rate_hz!r}"
+                f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -188,21 +190,9 @@ class CountTables:
         )
 
     def copy(self) -> "CountTables":
-        return CountTables(
-            class_labels=self.class_labels,
-            class_mus=self.class_mus,
-            pulses_total=self.pulses_total,
-            seed=self.seed,
-            mode=self.mode,
-            pulses_sent=self.pulses_sent.copy(),
-            counts=self.counts.copy(),
-            sifted=self.sifted,
-            repetition_rate_hz=self.repetition_rate_hz,
+        return dataclasses.replace(
+            self, pulses_sent=self.pulses_sent.copy(), counts=self.counts.copy()
         )
-
-    def coincidence(self, ia: int, ib: int, sa: int, sb: int, name: str) -> int:
-        """Count of one named two-detector coincidence class in a cell."""
-        return int(self.counts[ia, ib, sa, sb, _COLUMN_BY_NAME[name.upper()]])
 
     def conclusive_sum(self, ia: int, ib: int, sa: int, sb: int) -> int:
         """C12 + C34 + C14 + C23 in a cell."""
@@ -384,36 +374,28 @@ def hom_scan(config: HomScanConfig) -> HomScanResult:
     """Run the interference dip scan and return per-delay rates and visibility."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     n = config.pulses_per_point
-
     delays = np.asarray(config.delays_ns, dtype=float)
-    rate_ind = np.empty(delays.shape)
-    rate_dis = np.empty(delays.shape)
-    vis = np.empty(delays.shape)
-    stderr = np.empty(delays.shape)
     # Row 0 is the distinguishable reference (overlap 0), then one row per delay.
     frac = np.maximum(0.0, 1.0 - np.abs(delays) / config.pulse_width_ns)
     p_c13 = _pattern_table(
         config.mu, config.mu, _CODE_AMPS_A[0], _CODE_AMPS_B[0],
         np.concatenate(([0.0], frac * frac)), config.detector,
     )[:, COINCIDENCE_PATTERNS["C13"]]
-    p_dis = p_c13[0]
-    for k, p_ind in enumerate(p_c13[1:]):
-        c_ind = int(rng.binomial(n, p_ind))
-        c_dis = int(rng.binomial(n, p_dis))
-        r_ind = c_ind / n
-        r_dis = c_dis / n
-        rate_ind[k] = r_ind
-        rate_dis[k] = r_dis
-        if c_dis == 0:
-            vis[k] = float("nan")
-            stderr[k] = float("nan")
-            continue
-        vis[k] = (r_dis - r_ind) / r_dis
-        var_ind = r_ind * (1.0 - r_ind) / n
-        var_dis = r_dis * (1.0 - r_dis) / n
-        stderr[k] = math.sqrt(
-            var_ind / r_dis**2 + (r_ind**2) * var_dis / r_dis**4
+    # One (indistinguishable, distinguishable) pair of draws per delay, in delay order.
+    counts = rng.binomial(n, np.column_stack((p_c13[1:], np.full(len(delays), p_c13[0]))))
+    rate_ind, rate_dis = (counts / n).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vis = (rate_dis - rate_ind) / rate_dis
+        var_ind = rate_ind * (1.0 - rate_ind) / n
+        var_dis = rate_dis * (1.0 - rate_dis) / n
+        # float_power rounds as the C pow does; array ** may differ by an ulp.
+        stderr = np.sqrt(
+            var_ind / np.float_power(rate_dis, 2)
+            + np.float_power(rate_ind, 2) * var_dis / np.float_power(rate_dis, 4)
         )
+    # Without distinguishable-reference counts the visibility is undefined.
+    no_reference = counts[:, 1] == 0
+    vis[no_reference] = stderr[no_reference] = np.nan
     return HomScanResult(
         delays_ns=delays,
         rate_indistinguishable=rate_ind,

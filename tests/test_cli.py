@@ -245,6 +245,18 @@ def test_rate_reference_fixture_exits_two(tmp_path, capsys) -> None:
     assert not report.exists()
 
 
+def test_rate_degenerate_gains_exits_two(tmp_path, capsys) -> None:
+    # All-zero gains are consistent, but the single-photon yield bound is 0,
+    # so the error bound has nothing to divide by.
+    zeros = np.zeros((3, 3))
+    path = str(tmp_path / "gains.txt")
+    save_gains(GainErrorMatrices(REFERENCE_MUS, zeros, zeros, zeros, zeros), path)
+    report = tmp_path / "report.txt"
+    assert main(["rate", path, "--output", str(report)]) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_rate_feasible_gains_exits_zero(tmp_path, capsys) -> None:
     gains = np.empty((3, 3))
     for i, mu_i in enumerate(REFERENCE_MUS):

@@ -315,8 +315,13 @@ def test_gains_from_counts_exact() -> None:
         gains_from_counts(tables, "circular")
     empty = tables.copy()
     empty.pulses_sent[0, 0, 0, 0] = 0
-    with pytest.raises(InsufficientCountsError):
+    with pytest.raises(InsufficientCountsError, match=r"cell \(0, 0, 0, 0\)"):
         gains_from_counts(empty, "rect")
+    # The first empty cell in (i, j, sa, sb) order is named.
+    empty.pulses_sent[2, 0, 2, 2] = 0
+    empty.pulses_sent[1, 2, 3, 2] = 0
+    with pytest.raises(InsufficientCountsError, match=r"cell \(1, 2, 3, 2\)"):
+        gains_from_counts(empty, "diag")
 
 
 def test_errors_from_counts_semantics() -> None:

@@ -131,6 +131,10 @@ def test_counts_unknown_header_key() -> None:
         assert parse_counts(text) == tables
     with pytest.raises(FormatError, match="operator"):
         parse_counts(text, strict=True)
+    twice = text.replace("columns:", "operator: bob\ncolumns:", 1)
+    with pytest.warns(UserWarning, match="operator"):
+        with pytest.raises(FormatError, match="duplicate header key 'operator'"):
+            parse_counts(twice)
 
 
 def test_counts_malformed_rows() -> None:
@@ -142,6 +146,7 @@ def test_counts_malformed_rows() -> None:
         (last.replace("vacuum", "phantom", 1), "phantom"),
         (last.replace(" - ", " X ", 1), "X"),
         (last.rsplit(" ", 1)[0] + " -3", "non-negative"),
+        (last.rsplit(" ", 1)[0] + f" {2**63}", "below 2"),
     ):
         lines = base.splitlines()
         lines[-1] = mutated_last

@@ -274,17 +274,18 @@ def test_count_tables_validation_and_copy() -> None:
             pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
             counts=np.zeros((3, 3, 4, 4, 6), dtype=np.int64),
         )
-    with pytest.raises(ParameterError):
-        CountTables(
-            class_labels=("a", "b", "c"),
-            class_mus=(0.5, 0.1, 0.0),
-            pulses_total=1,
-            seed=0,
-            mode="random",
-            pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
-            counts=np.zeros((3, 3, 4, 4, 7), dtype=np.int64),
-            repetition_rate_hz=0.0,
-        )
+    for rate in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            CountTables(
+                class_labels=("a", "b", "c"),
+                class_mus=(0.5, 0.1, 0.0),
+                pulses_total=1,
+                seed=0,
+                mode="random",
+                pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
+                counts=np.zeros((3, 3, 4, 4, 7), dtype=np.int64),
+                repetition_rate_hz=rate,
+            )
 
 
 def test_session_config_validation() -> None:
@@ -293,11 +294,14 @@ def test_session_config_validation() -> None:
     with pytest.raises(ParameterError):
         make_config(class_probs=(0.5, 0.5, 0.5))
     with pytest.raises(ParameterError):
+        make_config(class_probs=(math.nan, 0.5, 0.5))
+    with pytest.raises(ParameterError):
         make_config(rect_prob=1.5)
     with pytest.raises(ParameterError):
         make_config(mode="alternating")
-    with pytest.raises(ParameterError):
-        make_config(repetition_rate_hz=0.0)
+    for rate in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            make_config(repetition_rate_hz=rate)
     with pytest.raises(ParameterError):
         make_config(batch_gates=0)
     with pytest.raises(ParameterError):
@@ -393,6 +397,52 @@ def test_hom_scan_rates_follow_analyzer_response() -> None:
         for rate, p in pairs:
             sigma = math.sqrt(p * (1.0 - p) / config.pulses_per_point)
             assert abs(rate - p) < Z_LIMIT * sigma, (tau, rate, p)
+
+
+def reference_hom_scan(config: HomScanConfig) -> list[np.ndarray]:
+    """Per-delay loop with scalar arithmetic: one indistinguishable, then one
+    distinguishable binomial draw per delay, from the same analyzer table."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    n = config.pulses_per_point
+    delays = np.asarray(config.delays_ns, dtype=float)
+    frac = np.maximum(0.0, 1.0 - np.abs(delays) / config.pulse_width_ns)
+    p_c13 = mdiqkd.bsa._pattern_table(
+        config.mu, config.mu, mdiqkd.bsa._CODE_AMPS_A[0], mdiqkd.bsa._CODE_AMPS_B[0],
+        np.concatenate(([0.0], frac * frac)), config.detector,
+    )[:, COINCIDENCE_PATTERNS["C13"]]
+    rows = []
+    for p_ind in p_c13[1:]:
+        c_ind = int(rng.binomial(n, p_ind))
+        c_dis = int(rng.binomial(n, p_c13[0]))
+        r_ind = c_ind / n
+        r_dis = c_dis / n
+        if c_dis == 0:
+            rows.append((r_ind, r_dis, math.nan, math.nan))
+            continue
+        var_ind = r_ind * (1.0 - r_ind) / n
+        var_dis = r_dis * (1.0 - r_dis) / n
+        stderr = math.sqrt(var_ind / r_dis**2 + (r_ind**2) * var_dis / r_dis**4)
+        rows.append((r_ind, r_dis, (r_dis - r_ind) / r_dis, stderr))
+    return list(np.array(rows).T)
+
+
+@pytest.mark.parametrize("pulses", [1, 40, 5_000, 10**6, 10**9])
+def test_hom_scan_matches_per_delay_reference(pulses: int) -> None:
+    # 1 and 40 pulses leave some distinguishable references empty (nan rows).
+    config = make_hom_config(
+        delays_ns=tuple(np.linspace(-2.0, 2.0, 49).tolist()),
+        pulses_per_point=pulses,
+        detector=DetectorModel(efficiency=0.25, dark_prob=1e-5),
+    )
+    result = hom_scan(config)
+    produced = (
+        result.rate_indistinguishable,
+        result.rate_distinguishable,
+        result.visibility,
+        result.visibility_stderr,
+    )
+    for got, want in zip(produced, reference_hom_scan(config)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_hom_scan_evaluates_analyzer_once(monkeypatch) -> None:
