@@ -12,20 +12,16 @@ Outcome rule over the 16 click patterns:
 Temporal-mode model: each source occupies a common mode with amplitude weight
 sqrt(overlap) plus its own leftover mode with weight sqrt(1 - overlap).  In the
 common mode the two sources interfere with a uniformly random relative phase;
-leftover-mode intensities add incoherently.  Click probabilities for coherent
-inputs are exact: the per-phase 16-pattern distribution is a product of
-independent per-detector click laws p = 1 - (1 - dark) exp(-efficiency * n),
-and the phase average is taken with a periodic trapezoid rule whose error
-decays geometrically (Fourier coefficients fall off as modified Bessel I_k).
+leftover-mode intensities add incoherently.
 
-One engine, _pattern_table, evaluates a batch of inputs (rows) in a single
-array pass over rows x phase nodes x detectors; coherent_click_probs is its
-one-row wrapper.  The interference strength s = efficiency * overlap *
-sqrt(mu_a * mu_b) sets the Fourier bandwidth, and a row needs
-max(phase_nodes, 64 + int(16 s)) nodes.  A batch uses the largest count any
-of its rows needs: the rule is spectral, so extra nodes only shrink a row's
-error.  Counts above MAX_PHASE_NODES (s above about 252) are refused with
-ParameterError before any array is built.
+Click probabilities for coherent inputs are exact, for any finite intensity.
+At a fixed phase the detectors click independently with p = 1 - (1 - dark)
+exp(-efficiency * n), and the photon number of any detector subset is a
+sinusoid in the relative phase, so the phase average of the subset's no-click
+probability is a modified Bessel function I0 (Ma & Razavi, PRA 86, 062319
+(2012)).  One engine, _pattern_table, evaluates a batch of inputs in one
+array pass: inclusion-exclusion over the 16 subsets gives the ideal pattern
+law, and dark counts are applied last.  coherent_click_probs wraps one input.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ import numpy as np
 from .optics import SOP_BY_CODE, ParameterError, PolarizationState
 
 DIST_TOL = 1e-9
-PHASE_NODES = 128
-MAX_PHASE_NODES = 4096
 MAX_FOCK_PHOTONS = 4
 PATTERN_COUNT = 16
 
@@ -193,14 +187,36 @@ _CODE_AMPS_A, _CODE_AMPS_B = (
     np.array(side) for side in zip(*(_detector_amplitudes(s, s) for s in SOP_BY_CODE))
 )
 
-# Rows x nodes per block of _pattern_table; bounds its working memory to a
-# few MB however many rows a caller passes.
-_BLOCK_ROW_NODES = 1 << 14
+
+def _per_detector(m: np.ndarray) -> np.ndarray:
+    """The 16 x 16 pattern matrix that applies the 2 x 2 matrix m to each detector's bit.
+
+    It is the fourfold Kronecker power of m, built by broadcasting.
+    """
+    pair = (m[:, None, :, None] * m[None, :, None, :]).reshape(4, 4)
+    return (pair[:, None, :, None] * pair[None, :, None, :]).reshape(16, 16)
 
 
-def _pattern_table(
-    mu_a, mu_b, amp_a, amp_b, overlap, detector: DetectorModel, phase_nodes: int = PHASE_NODES
-) -> np.ndarray:
+# Inclusion-exclusion from subset no-click probabilities to exact patterns:
+# M[U, C] = (-1)^|U & C| when U | C covers all four detectors, else 0.
+_MOBIUS = _per_detector(np.array([[0.0, 1.0], [1.0, -1.0]]))
+
+# exp(-x) I0(x) above _I0E_SWITCH: (2 pi x)^(-1/2) sum_k c_k (8x)^(-k) with
+# c_k = ((2k - 1)!!)^2 / k!, highest order first.  Six terms reach double
+# precision there, and np.i0 overflows a little above it.
+_I0E_SWITCH = 700.0
+_I0E_SERIES = (7441.875, 459.375, 37.5, 4.5, 1.0, 1.0)
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """Exponentially scaled modified Bessel function exp(-x) I0(x) for x >= 0."""
+    low = np.minimum(x, _I0E_SWITCH)
+    high = np.maximum(x, _I0E_SWITCH)
+    series = np.polyval(_I0E_SERIES, 1.0 / (8.0 * high)) / np.sqrt(2.0 * np.pi * high)
+    return np.where(x <= _I0E_SWITCH, np.i0(low) * np.exp(-low), series)
+
+
+def _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector: DetectorModel) -> np.ndarray:
     """Click-pattern distributions of a batch of phase-randomized coherent inputs.
 
     Args:
@@ -209,75 +225,47 @@ def _pattern_table(
         amp_a, amp_b: per-row detector amplitudes of each source, shape (n, 4)
             or broadcastable to it (see _detector_amplitudes).
         detector: detector model applied identically to all four detectors.
-        phase_nodes: minimum quadrature nodes for the relative-phase average.
 
     Returns:
         Array of shape (n, 16): row r is the pattern distribution of input r,
         pattern index with detector d as bit d - 1.
     """
-    if not 8 <= phase_nodes <= MAX_PHASE_NODES:
-        raise ParameterError(
-            f"phase_nodes must lie in [8, {MAX_PHASE_NODES}], got {phase_nodes!r}"
-        )
     mu_a, mu_b, overlap = (np.asarray(x, dtype=float)[..., None] for x in (mu_a, mu_b, overlap))
     for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
         bad = mu[~((mu >= 0.0) & (mu < math.inf))]
         if bad.size:
             raise ParameterError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
-    # Interference strength sets the Fourier bandwidth of the integrand.
-    root = np.sqrt(mu_a) * np.sqrt(mu_b)
-    strength = detector.efficiency * float(np.max(overlap * root, initial=0.0))
-    if 64.0 + 16.0 * strength >= MAX_PHASE_NODES + 1:
-        raise ParameterError(
-            f"interference strength efficiency * overlap * sqrt(mu_a * mu_b) = "
-            f"{strength:.7g} needs more than MAX_PHASE_NODES = {MAX_PHASE_NODES} "
-            f"phase nodes; it must be below {(MAX_PHASE_NODES - 63) / 16.0!r}"
-        )
-    nodes = max(phase_nodes, 64 + int(16.0 * strength))
-    # The mean photon number at detector d and phase theta is
-    # base_d + Re(cross_d) cos(theta) - Im(cross_d) sin(theta), where the cross
-    # term comes from the common mode, so -efficiency * n over the nodes is
-    # one matrix product.
+    # The mean photon number at detector d and relative phase theta is
+    # base_d + Re(cross_d exp(i theta)); cross comes from the common mode.
     base = mu_a * np.abs(amp_a) ** 2 + mu_b * np.abs(amp_b) ** 2
-    cross = 2.0 * overlap * root * np.conj(amp_a) * amp_b
+    cross = np.sqrt(mu_a) * np.sqrt(mu_b) * (2.0 * overlap * np.conj(amp_a) * amp_b)
     base, cross = (np.atleast_2d(x) for x in np.broadcast_arrays(base, cross))
-    coef = -detector.efficiency * np.stack([base, cross.real, -cross.imag], axis=-1)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    phase = np.stack([np.ones(nodes), np.cos(theta), np.sin(theta)])
-
-    out = np.empty((len(coef), PATTERN_COUNT))
-    block = max(1, _BLOCK_ROW_NODES // nodes)
-    for lo in range(0, len(coef), block):
-        rows = coef[lo : lo + block]
-        # (no click, click) of each detector, shape (rows, 2, 4, nodes).
-        pair = np.empty((len(rows), 2, 4, nodes))
-        np.exp((rows.reshape(-1, 3) @ phase).reshape(len(rows), 4, nodes), out=pair[:, 0])
-        pair[:, 0] *= 1.0 - detector.dark_prob
-        np.subtract(1.0, pair[:, 0], out=pair[:, 1])
-        # Patterns of detectors (1, 2) and of (3, 4), index 2 * bit_hi + bit_lo.
-        low = (pair[:, :, None, 1] * pair[:, None, :, 0]).reshape(len(rows), 4, nodes)
-        high = (pair[:, :, None, 3] * pair[:, None, :, 2]).reshape(len(rows), 4, nodes)
-        out[lo : lo + block] = (high @ low.transpose(0, 2, 1)).reshape(-1, PATTERN_COUNT) / nodes
-    return out
+    # With ideal detectors no detector of subset U clicks with probability
+    # exp(-a_U - b_U cos(theta')), whose phase average is exp(-a_U) I0(b_U).
+    subsets = _BITS.T.astype(float)
+    a = detector.efficiency * (base @ subsets)
+    b = detector.efficiency * np.abs(cross @ subsets)
+    # a_U >= b_U exactly; the clips drop round-off of order 1e-16.
+    no_click = np.exp(-np.maximum(a - b, 0.0)) * _i0e(b)
+    ideal = np.clip(no_click @ _MOBIUS, 0.0, None)
+    # Dark counts add clicks independently per detector: an ideal no-click
+    # becomes a click with probability dark_prob.
+    dark = detector.dark_prob
+    return ideal @ _per_detector(np.array([[1.0 - dark, dark], [0.0, 1.0]]))
 
 
-def coherent_click_probs(
-    inp: BsaInput, detector: DetectorModel, phase_nodes: int = PHASE_NODES
-) -> BsaResponse:
+def coherent_click_probs(inp: BsaInput, detector: DetectorModel) -> BsaResponse:
     """Exact click-pattern distribution for two phase-randomized coherent pulses.
 
     Args:
         inp: the two mean photon numbers, states, and shared temporal overlap.
         detector: detector model applied identically to all four detectors.
-        phase_nodes: quadrature nodes for the relative-phase average; raised
-            automatically when large mean photon numbers need more, up to
-            MAX_PHASE_NODES.
 
     Returns:
         BsaResponse over the 16 click patterns (marginals derivable from it).
     """
     amp_a, amp_b = _detector_amplitudes(inp.sop_a, inp.sop_b)
-    probs = _pattern_table(inp.mu_a, inp.mu_b, amp_a, amp_b, inp.overlap, detector, phase_nodes)
+    probs = _pattern_table(inp.mu_a, inp.mu_b, amp_a, amp_b, inp.overlap, detector)
     return BsaResponse(pattern_probs=probs[0])
 
 

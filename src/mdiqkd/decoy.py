@@ -89,9 +89,9 @@ class GainErrorMatrices:
         signal, decoy, vacuum = self.mus
         if vacuum != 0.0:
             raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")
-        if not signal > decoy > 0.0:
+        if not math.inf > signal > decoy > 0.0:
             raise ParameterError(
-                f"intensities must satisfy signal > decoy > 0, got {self.mus!r}"
+                f"intensities must be finite and satisfy signal > decoy > 0, got {self.mus!r}"
             )
         for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
             matrix = np.asarray(getattr(self, name), dtype=float)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 
@@ -76,6 +77,10 @@ _SWEEP_CELLS = np.ravel_multi_index(
 _MISMATCHED = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=bool)
 _MISMATCHED[:, :, :2, 2:] = True
 _MISMATCHED[:, :, 2:, :2] = True
+
+# A class label the counts file format can carry: one token without "=" or
+# ":" that does not start a comment.
+_LABEL = re.compile(r"[^\s=:#][^\s=:]*")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -145,7 +150,8 @@ class CountTables:
     pulses_sent has shape (3, 3, 4, 4); counts has shape (3, 3, 4, 4, 7) with
     columns ordered as COUNT_COLUMNS.  Click counts are tabulated only for
     agreeing-basis cells; mismatched-basis cells carry pulses_sent but
-    all-zero counts.
+    all-zero counts.  Construction refuses any table that the counts file
+    format could not write and read back unchanged.
     """
 
     class_labels: tuple[str, str, str]
@@ -159,6 +165,20 @@ class CountTables:
     repetition_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
+        labels = self.class_labels
+        if len(labels) != N_CLASSES or len(set(labels)) != N_CLASSES or not all(
+            isinstance(label, str) and _LABEL.fullmatch(label) for label in labels
+        ):
+            raise ParameterError(
+                f"class_labels must be 3 distinct tokens without '=', ':' or a leading '#', "
+                f"got {labels!r}"
+            )
+        if len(self.class_mus) != N_CLASSES or not all(0.0 <= m < math.inf for m in self.class_mus):
+            raise ParameterError(f"class_mus must be 3 finite numbers >= 0, got {self.class_mus!r}")
+        if self.pulses_total < 0:
+            raise ParameterError(f"pulses_total must be >= 0, got {self.pulses_total!r}")
+        if not (isinstance(self.mode, str) and re.fullmatch(r"\S+", self.mode)):
+            raise ParameterError(f"mode must be a single token, got {self.mode!r}")
         self.pulses_sent = np.asarray(self.pulses_sent, dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.pulses_sent.shape != (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS):
@@ -169,6 +189,8 @@ class CountTables:
             raise ParameterError(
                 f"counts must have shape (3, 3, 4, 4, 7), got {self.counts.shape!r}"
             )
+        if self.pulses_sent.min() < 0 or self.counts.min() < 0:
+            raise ParameterError("pulses_sent and counts must be non-negative")
         if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ParameterError(
                 f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
@@ -309,9 +331,9 @@ class HomScanConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu) or self.mu < 0.0:
             raise ParameterError(f"mu must be finite and >= 0, got {self.mu!r}")
-        if not self.pulse_width_ns > 0.0:
+        if not 0.0 < self.pulse_width_ns < math.inf:
             raise ParameterError(
-                f"pulse_width_ns must be > 0, got {self.pulse_width_ns!r}"
+                f"pulse_width_ns must be finite and > 0, got {self.pulse_width_ns!r}"
             )
         if not self.delays_ns or any(not math.isfinite(t) for t in self.delays_ns):
             raise ParameterError("delays_ns must be a non-empty tuple of finite floats")

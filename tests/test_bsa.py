@@ -1,16 +1,16 @@
 """Analyzer response: single-photon oracle, coherent engine, closed forms."""
 
+import ast
 import itertools
 import math
-import tracemalloc
+import pathlib
 
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import i0, i0e
 
 import mdiqkd.bsa
 from mdiqkd.bsa import (
-    MAX_PHASE_NODES,
     BellOutcome,
     BsaInput,
     BsaResponse,
@@ -19,6 +19,7 @@ from mdiqkd.bsa import (
     PSI_PLUS_PATTERNS,
     UnsupportedSizeError,
     _detector_amplitudes,
+    _i0e,
     _pattern_table,
     classify_outcome,
     coherent_click_probs,
@@ -225,11 +226,6 @@ def test_small_mu_coherent_reproduces_wcp_columns() -> None:
         assert fractions[BellOutcome.PSI_MINUS] == pytest.approx(minus, abs=1e-3)
 
 
-def test_phase_nodes_validation() -> None:
-    with pytest.raises(ParameterError):
-        coherent_click_probs(BsaInput(0.1, 0.1, SOP_H, SOP_H), IDEAL, phase_nodes=4)
-
-
 def test_pattern_probs_sum_to_one_across_inputs() -> None:
     detector = DetectorModel(efficiency=0.8, dark_prob=5e-4)
     for sop_a in SOP_BY_CODE:
@@ -286,18 +282,14 @@ def random_sop(rng: np.random.Generator) -> PolarizationState:
     return PolarizationState(complex(v[0]), complex(v[1]))
 
 
-def assert_rows_match_reference(
-    mu_a, mu_b, sops, overlap, detector, phase_nodes: int = 128
-) -> None:
+def assert_rows_match_reference(mu_a, mu_b, sops, overlap, detector) -> None:
     amps = [_detector_amplitudes(sop_a, sop_b) for sop_a, sop_b in sops]
     amp_a = np.array([a for a, _ in amps])
     amp_b = np.array([b for _, b in amps])
-    table = _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector, phase_nodes)
+    table = _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector)
     assert table.shape == (len(sops), 16)
     for r, (sop_a, sop_b) in enumerate(sops):
-        expected = reference_click_probs(
-            mu_a[r], mu_b[r], sop_a, sop_b, overlap[r], detector, phase_nodes
-        )
+        expected = reference_click_probs(mu_a[r], mu_b[r], sop_a, sop_b, overlap[r], detector)
         assert np.max(np.abs(table[r] - expected)) < EXACT_TOL, r
 
 
@@ -324,51 +316,87 @@ def test_pattern_table_rows_match_reference() -> None:
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
-def test_pattern_table_mixed_node_counts(monkeypatch, rows_per_block) -> None:
-    # At unit efficiency row 2 needs 64 + 16 * 150 = 2464 nodes and the other
-    # rows at most 128.  The batch runs at the largest count, and every row
-    # must still match its own per-row quadrature.  With phase_nodes = 8 the
-    # node rule alone decides, and 64 nodes would leave row 2 off by ~1e-6.
-    # A small block budget splits the batch into blocks of a row or two.
-    if rows_per_block is not None:
-        monkeypatch.setattr(mdiqkd.bsa, "_BLOCK_ROW_NODES", rows_per_block * 2464)
+def test_pattern_table_mixed_node_counts(rows_per_block) -> None:
+    # At unit efficiency row 2 needs 64 + 16 * 150 = 2464 reference nodes and
+    # the other rows at most 128; one batch must match each row's own
+    # quadrature.  Splitting the batch into blocks of a row or two must give
+    # the same rows: no row depends on the others in its batch.
     rng = np.random.default_rng(7)
     mu_a = np.array([0.3, 0.05, 150.0, 0.0, 1.2])
     mu_b = np.array([0.2, 0.05, 150.0, 0.4, 0.01])
     overlap = np.array([0.9, 1.0, 1.0, 1.0, 0.5])
     sops = [(random_sop(rng), random_sop(rng)) for _ in range(4)]
     sops.insert(2, (SOP_PLUS, SOP_PLUS))
-    for detector, phase_nodes in (
-        (IDEAL, 128),
-        (IDEAL, 8),
-        (DetectorModel(efficiency=0.6, dark_prob=1e-3), 8),
-    ):
-        assert_rows_match_reference(mu_a, mu_b, sops, overlap, detector, phase_nodes)
+    for detector in (IDEAL, DetectorModel(efficiency=0.6, dark_prob=1e-3)):
+        if rows_per_block is None:
+            assert_rows_match_reference(mu_a, mu_b, sops, overlap, detector)
+            continue
+        amps = [_detector_amplitudes(sop_a, sop_b) for sop_a, sop_b in sops]
+        amp_a = np.array([a for a, _ in amps])
+        amp_b = np.array([b for _, b in amps])
+        whole = _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector)
+        for start in range(0, len(sops), rows_per_block):
+            block = slice(start, start + rows_per_block)
+            assert_rows_match_reference(
+                mu_a[block], mu_b[block], sops[block], overlap[block], detector
+            )
+            part = _pattern_table(
+                mu_a[block], mu_b[block], amp_a[block], amp_b[block], overlap[block], detector
+            )
+            # Equal to rounding: the matrix products may sum in another order.
+            assert np.max(np.abs(part - whole[block])) < 1e-15
 
 
-def test_phase_node_ceiling() -> None:
-    # 64 + int(16 s) nodes stay within MAX_PHASE_NODES while s < limit.
-    limit = (MAX_PHASE_NODES - 63) / 16.0
-    below, above = limit * (1.0 - 1e-9), limit * (1.0 + 1e-9)
-    response = coherent_click_probs(BsaInput(below, below, SOP_H, SOP_H), IDEAL)
-    assert float(response.pattern_probs.sum()) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ParameterError, match=f"MAX_PHASE_NODES = {MAX_PHASE_NODES}"):
-        coherent_click_probs(BsaInput(above, above, SOP_H, SOP_H), IDEAL)
-    with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
-        coherent_click_probs(BsaInput(1e200, 1e200, SOP_H, SOP_H), IDEAL)
-    with pytest.raises(ParameterError):
-        coherent_click_probs(
-            BsaInput(0.1, 0.1, SOP_H, SOP_H), IDEAL, phase_nodes=MAX_PHASE_NODES + 1
-        )
-    # A batch just above the limit is refused before its arrays are built:
-    # evaluating it would take several MB per intermediate array.
-    amp_a, amp_b = _detector_amplitudes(SOP_H, SOP_H)
-    mus = np.full(72, above)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
-            _pattern_table(mus, mus, amp_a, amp_b, 1.0, IDEAL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 256 * 1024
+def test_scaled_bessel_matches_reference() -> None:
+    # Both branches of the numpy-only exp(-x) I0(x), on either side of the switch.
+    x = np.array([0.0, 1e-3, 0.5, 8.0, 30.0, 650.0, 699.9, 700.0, 700.1, 701.0, 1e4, 1e9, 1e200])
+    assert np.allclose(_i0e(x), i0e(x), rtol=2e-15, atol=0.0)
+
+
+def test_large_intensities_give_distributions() -> None:
+    # Intensities far above the protocol's, up to 1e200, still give finite
+    # distributions that sum to 1, as one batch and row by row.
+    detector = DetectorModel(efficiency=0.7, dark_prob=1e-4)
+    rows = list(itertools.product(SOP_BY_CODE, SOP_BY_CODE))
+    amp_a = np.array([_detector_amplitudes(a, b)[0] for a, b in rows])
+    amp_b = np.array([_detector_amplitudes(a, b)[1] for a, b in rows])
+    for mu in (252.07, 1e9, 1e200):
+        for det in (IDEAL, detector):
+            for mu_b, overlap in ((mu, 1.0), (mu, 0.3), (0.1, 1.0), (0.0, 0.0)):
+                table = _pattern_table(mu, mu_b, amp_a, amp_b, overlap, det)
+                assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+                assert np.allclose(table.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for sop_a, sop_b in rows:
+            coherent_click_probs(BsaInput(mu, mu, sop_a, sop_b), detector)
+        # A lone H pulse splits onto detectors 1 and 3, which then click surely.
+        single = coherent_click_probs(BsaInput(mu, 0.0, SOP_H, SOP_H), IDEAL)
+        assert single.pattern_probs[0b0101] == 1.0
+
+
+def test_dark_count_only_cells_exact() -> None:
+    # Vacuum inputs click only by dark counts: each two-click pattern has
+    # probability d^2 (1 - d)^2, which survives only if the dark counts are
+    # applied after the ideal pattern law rather than folded into it.
+    d = 1.5e-5
+    response = coherent_click_probs(
+        BsaInput(0.0, 0.0, SOP_H, SOP_V), DetectorModel(efficiency=1.0, dark_prob=d)
+    )
+    for pattern in range(16):
+        if bin(pattern).count("1") == 2:
+            assert response.pattern_probs[pattern] == pytest.approx(
+                d**2 * (1.0 - d) ** 2, rel=1e-12, abs=0.0
+            )
+
+
+def test_engine_modules_import_no_scipy() -> None:
+    # The optics, analyzer and session layers stay numpy-only.
+    package = pathlib.Path(mdiqkd.bsa.__file__).parent
+    for name in ("optics.py", "bsa.py", "session.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), (name, modules)

@@ -17,7 +17,6 @@ from test_decoy import (
 )
 
 import mdiqkd
-from mdiqkd.bsa import MAX_PHASE_NODES
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
@@ -328,12 +327,12 @@ def test_bad_truncation_flag(tmp_path, capsys) -> None:
     assert "truncation must lie in [2, 50]" in capsys.readouterr().err
 
 
-def test_phase_node_ceiling_exits_one(tmp_path, capsys) -> None:
-    assert main(["table1", "--mu", "1e9"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert f"MAX_PHASE_NODES = {MAX_PHASE_NODES}" in err
+def test_large_intensity_table_and_scan_exit_zero(tmp_path, capsys) -> None:
+    assert main(["table1", "--mu", "1e9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "wcp mu = 1000000000.0" in captured.out
     config = tmp_path / "hom.cfg"
     config.write_text("mu = 1e9\ndetector.efficiency = 1.0\n", encoding="utf-8")
-    assert main(["hom-scan", str(config)]) == 1
-    assert "MAX_PHASE_NODES" in capsys.readouterr().err
+    assert main(["hom-scan", str(config)]) == 0
+    assert capsys.readouterr().err == ""

@@ -358,6 +358,14 @@ def test_matrices_validation() -> None:
         )
     with pytest.raises(ParameterError):
         GainErrorMatrices(
+            mus=(math.inf, 0.1, 0.0),
+            q_rect=good.q_rect,
+            q_diag=good.q_diag,
+            e_rect=good.e_rect,
+            e_diag=good.e_diag,
+        )
+    with pytest.raises(ParameterError):
+        GainErrorMatrices(
             mus=(0.5, 0.1, 1e-6),
             q_rect=good.q_rect,
             q_diag=good.q_diag,

@@ -1,5 +1,6 @@
 """Text formats: round trips, version gates, strictness, config parsing."""
 
+import dataclasses
 import math
 import os
 import re
@@ -30,8 +31,15 @@ from mdiqkd.io_formats import (
     save_report,
 )
 from mdiqkd.io_formats import _config_defaults
-from mdiqkd.optics import ChannelModel, standard_classes
-from mdiqkd.session import HomScanConfig, SessionConfig, hom_scan, run_session, sift
+from mdiqkd.optics import ChannelModel, ParameterError, standard_classes
+from mdiqkd.session import (
+    CountTables,
+    HomScanConfig,
+    SessionConfig,
+    hom_scan,
+    run_session,
+    sift,
+)
 
 
 def small_tables():
@@ -68,6 +76,43 @@ def test_counts_round_trip_values() -> None:
     assert parse_counts(format_counts(tables)) == tables
     sifted = sift(tables)
     assert parse_counts(format_counts(sifted)) == sifted
+
+
+def test_counts_tables_that_construct_round_trip() -> None:
+    # Every table that constructs is written and read back unchanged, and a
+    # table the format could not carry is refused when it is built.
+    tables = small_tables()
+    fields = dataclasses.asdict(tables)
+    negative = tables.pulses_sent.copy()
+    negative[1, 2, 3, 0] = -1
+    negative_counts = tables.counts.copy()
+    negative_counts[0, 0, 2, 2, 6] = -5
+    good = {
+        "class_labels": [("a", "b", "c"), ("\u00e9t\u00e9", "x#y", "r")],
+        "class_mus": [(1e300, 1e-300, 5e-324), (-0.0, 0.0, 0.0)],
+        "pulses_total": [0, 10**20],
+        "mode": ["sweep", "my-mode:2", "#"],
+    }
+    bad = {
+        "class_labels": [
+            ("a b", "c", "d"), ("a", "a", "b"), ("a=1", "b", "c"), ("a:b", "c", "d"),
+            ("#a", "b", "c"), ("", "b", "c"), ("a\tb", "c", "d"), ("a\u2028b", "c", "d"),
+            ("a", "b"), ("a", "b", "c", "d"),
+        ],
+        "class_mus": [(math.nan, 0.1, 0.0), (0.5, math.inf, 0.0), (0.5, 0.1, -0.1), (0.5, 0.1)],
+        "pulses_total": [-1],
+        "mode": ["", " random", "a b", "random\n", "x\x85"],
+        "pulses_sent": [negative],
+        "counts": [negative_counts],
+    }
+    for key, values in good.items():
+        for value in values:
+            built = CountTables(**{**fields, key: value})
+            assert parse_counts(format_counts(built)) == built, (key, value)
+    for key, values in bad.items():
+        for value in values:
+            with pytest.raises(ParameterError):
+                CountTables(**{**fields, key: value})
 
 
 def test_counts_round_trip_bytes() -> None:

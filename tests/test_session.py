@@ -11,7 +11,6 @@ import mdiqkd.bsa
 import mdiqkd.session
 from mdiqkd.bsa import (
     COINCIDENCE_PATTERNS,
-    MAX_PHASE_NODES,
     BsaInput,
     DetectorModel,
     coherent_click_probs,
@@ -369,8 +368,9 @@ def test_hom_dip_width_nan_when_flat() -> None:
 def test_hom_config_validation() -> None:
     with pytest.raises(ParameterError):
         make_hom_config(mu=-0.1)
-    with pytest.raises(ParameterError):
-        make_hom_config(pulse_width_ns=0.0)
+    for width in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            make_hom_config(pulse_width_ns=width)
     with pytest.raises(ParameterError):
         make_hom_config(delays_ns=())
     with pytest.raises(ParameterError):
@@ -451,17 +451,22 @@ def test_hom_scan_evaluates_analyzer_once(monkeypatch) -> None:
     assert len(calls) == 1
 
 
-def test_phase_node_ceiling_refuses_session_and_scan() -> None:
-    # With unit efficiency and full overlap, mu above (MAX_PHASE_NODES - 63) / 16
-    # at the analyzer needs more quadrature nodes than the ceiling allows.
-    huge = 1e9
-    config = make_config(
-        classes=standard_classes(huge, 0.1),
-        channel_a=ChannelModel(),
-        channel_b=ChannelModel(),
-        detector=DetectorModel(),
-    )
-    with pytest.raises(ParameterError, match=f"MAX_PHASE_NODES = {MAX_PHASE_NODES}"):
-        run_session(config)
-    with pytest.raises(ParameterError, match="MAX_PHASE_NODES"):
-        hom_scan(make_hom_config(mu=huge, detector=DetectorModel()))
+def test_session_and_scan_accept_large_intensities() -> None:
+    # mu = 1e9 at the analyzer, far above any protocol intensity, still gives
+    # a valid outcome law, session and scan.
+    for huge in (1e9, 1e200):
+        config = make_config(
+            pulses=10_000,
+            classes=standard_classes(huge, 0.1),
+            channel_a=ChannelModel(),
+            channel_b=ChannelModel(),
+            detector=DetectorModel(),
+        )
+        law = mdiqkd.session._outcome_law(config)
+        assert np.all(np.isfinite(law)) and np.all(law >= 0.0)
+        assert np.allclose(law.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        tables = run_session(config)
+        assert int(tables.pulses_sent.sum()) == config.pulses
+        result = hom_scan(make_hom_config(mu=huge, pulses_per_point=1_000))
+        for rates in (result.rate_indistinguishable, result.rate_distinguishable):
+            assert np.all((rates >= 0.0) & (rates <= 1.0))
