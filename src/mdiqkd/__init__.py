@@ -1,4 +1,8 @@
-"""Polarization-encoded MDI-QKD simulation and decoy-state analysis toolkit."""
+"""Polarization-encoded MDI-QKD simulation and decoy-state analysis toolkit.
+
+Importing the package loads numpy only.  The names of the bounding programs
+(mdiqkd.decoy, which loads scipy) are resolved on first access.
+"""
 
 from .bsa import (
     BellOutcome,
@@ -10,27 +14,14 @@ from .bsa import (
     coherent_click_probs,
     fock_bsa_oracle,
 )
-from .decoy import (
+from .decoy_types import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
     DecoyResult,
     DegenerateBoundError,
-    ErrorBound,
     GainErrorMatrices,
     InfeasibleModelError,
     InsufficientCountsError,
-    YieldBound,
-    analyze,
-    analyze_matrices,
-    errors_from_counts,
-    gains_from_counts,
-    global_gain_qber,
-    lp_bound_error,
-    lp_bound_yield,
-    matrices_from_counts,
-    secret_key_rate,
-    shannon_entropy,
-    single_photon_gain,
 )
 from .io_formats import (
     TOOL_VERSION,
@@ -150,3 +141,14 @@ __all__ = [
     "standard_classes",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The names of __all__ not imported above are those of the bounding
+    # programs; importing mdiqkd.decoy on first access keeps scipy out of a
+    # bare ``import mdiqkd``.
+    if name in __all__:
+        from . import decoy
+
+        return getattr(decoy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,9 @@ Exit codes: 0 on success, 1 on any validation or input error (including
 unknown flags), 2 when the bounding programs certify the measured model
 infeasible or degenerate.  Output files are written atomically after the
 full result is formatted, so a nonzero exit never leaves a partial file.
+
+Only analyze and rate import the bounding programs (and with them scipy);
+simulate, hom-scan and table1 load numpy only.
 """
 
 from __future__ import annotations
@@ -20,15 +23,13 @@ from .bsa import (
     _pattern_table,
     fock_bsa_oracle,
 )
-from .decoy import (
+from .decoy_types import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
     MAX_TRUNCATION,
     DegenerateBoundError,
     InfeasibleModelError,
     InsufficientCountsError,
-    analyze,
-    analyze_matrices,
 )
 from .io_formats import (
     FormatError,
@@ -88,6 +89,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .decoy import analyze
+
     tables = load_counts(args.counts, strict=args.strict)
     result = analyze(tables, truncation=args.truncation, f_ec=args.f_ec)
     report = ResultReport(
@@ -98,6 +101,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
+    from .decoy import analyze_matrices
+
     matrices = load_gains(args.gains, strict=args.strict)
     result = analyze_matrices(matrices, truncation=args.truncation, f_ec=args.f_ec)
     report = ResultReport(result=result, input_sha256=file_digest(args.gains))

@@ -18,6 +18,18 @@ Y^{11} lower bound is solved first to certify that the ratio is well defined.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex and may differ between solver versions.
+
+This is the one module of the package that loads scipy (sparse matrices and
+linprog).  It holds everything that computes: the two bounding programs
+(lp_bound_yield, lp_bound_error and their YieldBound / ErrorBound results),
+the count reduction (gains_from_counts, errors_from_counts,
+matrices_from_counts), the key-rate accounting (shannon_entropy,
+single_photon_gain, secret_key_rate, global_gain_qber) and the pipelines
+analyze_matrices and analyze.  The data contract that the text formats and
+the command line need without a solver (GainErrorMatrices, DecoyResult,
+YieldSolution, the three error classes and the truncation and f_ec defaults)
+lives in mdiqkd.decoy_types and is imported here, so every name of both
+modules can be imported from this one.
 """
 
 from __future__ import annotations
@@ -29,91 +41,26 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .decoy_types import (
+    DEFAULT_F_EC,
+    DEFAULT_TRUNCATION,
+    MAX_TRUNCATION,
+    DecoyResult,
+    DegenerateBoundError,
+    GainErrorMatrices,
+    InfeasibleModelError,
+    InsufficientCountsError,
+    YieldSolution,
+)
 from .optics import ParameterError, poisson_pmf
 from .session import COUNT_COLUMNS
 
-DEFAULT_TRUNCATION = 7
-# Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
-# typical intensities, and the programs grow as (T + 1)^2 variables.
-MAX_TRUNCATION = 50
-DEFAULT_F_EC = 1.164
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
-
-
-class InfeasibleModelError(RuntimeError):
-    """No yield surface is consistent with the supplied gain/error matrices.
-
-    Attributes:
-        violations: list of (matrix, i, j, slack) naming the brackets that
-            cannot be met and the minimal total slack assigned to each.
-    """
-
-    def __init__(self, message: str, violations: list[tuple[str, int, int, float]]):
-        super().__init__(message)
-        self.violations = violations
-
-
-class DegenerateBoundError(RuntimeError):
-    """The single-photon yield lower bound vanished, so no error bound exists."""
-
-
-class InsufficientCountsError(ValueError):
-    """A cell required by the analysis has no recorded pulses."""
-
-
-@dataclasses.dataclass(eq=False)
-class GainErrorMatrices:
-    """Measured per-intensity-pair gains and error rates in both bases.
-
-    Attributes:
-        mus: (signal, decoy, vacuum) mean photon numbers, signal > decoy > 0,
-            vacuum exactly 0.
-        q_rect, q_diag: 3x3 gain matrices, entries in [0, 1].
-        e_rect, e_diag: 3x3 error-rate matrices, entries in [0, 1].
-    """
-
-    mus: tuple[float, float, float]
-    q_rect: np.ndarray
-    q_diag: np.ndarray
-    e_rect: np.ndarray
-    e_diag: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.mus) != 3:
-            raise ParameterError(f"mus must have 3 entries, got {self.mus!r}")
-        signal, decoy, vacuum = self.mus
-        if vacuum != 0.0:
-            raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")
-        if not math.inf > signal > decoy > 0.0:
-            raise ParameterError(
-                f"intensities must be finite and satisfy signal > decoy > 0, got {self.mus!r}"
-            )
-        for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
-            matrix = np.asarray(getattr(self, name), dtype=float)
-            if matrix.shape != (3, 3):
-                raise ParameterError(f"{name} must have shape (3, 3), got {matrix.shape!r}")
-            if np.any(~np.isfinite(matrix)) or np.any(matrix < 0.0) or np.any(matrix > 1.0):
-                raise ParameterError(f"{name} entries must be finite and lie in [0, 1]")
-            setattr(self, name, matrix)
-
-
-@dataclasses.dataclass(frozen=True)
-class YieldSolution:
-    """Optimal-vertex yield surfaces from the bounding programs.
-
-    Shapes are (truncation + 1, truncation + 1).  ye_diag holds the
-    error-weighted yields of the diagonal-basis program.  The surfaces are
-    diagnostic only; bounds are the contractual outputs.
-    """
-
-    y_rect: np.ndarray
-    y_diag: np.ndarray
-    ye_diag: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,25 +81,6 @@ class ErrorBound:
     ye_surface: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class DecoyResult:
-    """Full analysis output: bounds, reconstructed totals, and the key rate."""
-
-    y11_lower: float
-    e11_upper: float
-    q11: float
-    q_rect_measured: float
-    q_rect_reconstructed: float
-    q_rect_global: float
-    e_rect_global: float
-    rate: float
-    f_ec: float
-    truncation: int
-    mus: tuple[float, float, float]
-    solution: YieldSolution
-    warnings: tuple[str, ...]
-
-
 def shannon_entropy(p: float) -> float:
     """Binary entropy H2(p) in bits, with H2(0) = H2(1) = 0."""
     if not 0.0 <= p <= 1.0:
@@ -171,12 +99,16 @@ def single_photon_gain(y11: float, mu_signal: float) -> float:
     return y11 * mu_signal**2 * math.exp(-2.0 * mu_signal)
 
 
+def _check_f_ec(f_ec: float) -> None:
+    if not (math.isfinite(f_ec) and f_ec >= 1.0):
+        raise ParameterError(f"f_ec must be finite and >= 1, got {f_ec!r}")
+
+
 def secret_key_rate(
     q11: float, e11: float, q_rect: float, e_rect: float, f_ec: float = DEFAULT_F_EC
 ) -> float:
     """Secret fraction per gate from the single-photon and error-correction terms."""
-    if not (math.isfinite(f_ec) and f_ec >= 1.0):
-        raise ParameterError(f"f_ec must be finite and >= 1, got {f_ec!r}")
+    _check_f_ec(f_ec)
     return q11 * (1.0 - shannon_entropy(e11)) - q_rect * shannon_entropy(e_rect) * f_ec
 
 
@@ -542,6 +474,8 @@ def analyze_matrices(
     extra_warnings: tuple[str, ...] = (),
 ) -> DecoyResult:
     """Run the full bounding pipeline on measured gain/error matrices."""
+    _, tails = _poisson_rows(matrices.mus, truncation)
+    _check_f_ec(f_ec)
     rect_bound = lp_bound_yield(matrices.q_rect, matrices.mus, truncation)
     error_bound = lp_bound_error(matrices.q_diag, matrices.e_diag, matrices.mus, truncation)
     mu_signal = matrices.mus[0]
@@ -550,7 +484,6 @@ def analyze_matrices(
     e_rect_measured = float(matrices.e_rect[0, 0])
     constant_error = np.full_like(rect_bound.surface, e_rect_measured)
     q_trunc, _ = global_gain_qber(rect_bound.surface, constant_error, mu_signal)
-    _, tails = _poisson_rows(matrices.mus, truncation)
     # Yields outside the truncation box are taken at the cap, keeping the
     # reconstruction conservative for the subtraction term.
     q_rect_reconstructed = q_trunc + float(tails[0, 0])

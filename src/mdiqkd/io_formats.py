@@ -30,7 +30,7 @@ import warnings as _warnings
 
 import numpy as np
 
-from .decoy import DecoyResult, GainErrorMatrices
+from .decoy_types import DecoyResult, GainErrorMatrices
 from .optics import ParameterError
 from .session import (
     COUNT_COLUMNS,

@@ -388,10 +388,14 @@ def test_dark_count_only_cells_exact() -> None:
             )
 
 
-def test_engine_modules_import_no_scipy() -> None:
-    # The optics, analyzer and session layers stay numpy-only.
+def test_non_bounding_modules_import_no_scipy() -> None:
+    # Only decoy.py, the bounding programs, may import scipy: the optics,
+    # analyzer and session layers, the decoy data contract, the text formats
+    # and the command line stay numpy-only.
     package = pathlib.Path(mdiqkd.bsa.__file__).parent
-    for name in ("optics.py", "bsa.py", "session.py"):
+    for name in (
+        "optics.py", "bsa.py", "session.py", "decoy_types.py", "io_formats.py", "cli.py"
+    ):
         for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import json
 import math
 import os
 import subprocess
@@ -116,6 +117,65 @@ def test_module_entry_point_runs_without_warnings(tmp_path) -> None:
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("single-photon and weak-coherent analyzer response")
+
+
+# Runs the package entry point on its arguments (or, given none, imports the
+# package), then prints the exit code and every scipy module loaded.
+STARTUP_PROBE = """
+import json, runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    sys.argv[0] = "mdiqkd"
+    try:
+        runpy.run_module("mdiqkd", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import mdiqkd
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_only_bounding_subcommands_load_scipy(tmp_path) -> None:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdiqkd.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def probe(*argv: str) -> tuple[int, list[str]]:
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    hom = tmp_path / "hom.cfg"
+    hom.write_text("delays_ns = -2.0 0.0 2.0\nseed = 3\n", encoding="utf-8")
+    for argv in (
+        (),
+        ("simulate", write_session_config(tmp_path), "--output", "counts.txt"),
+        ("hom-scan", str(hom), "--pulses", "50000", "--output", "scan.txt"),
+        ("table1", "--output", "table.txt"),
+    ):
+        assert probe(*argv) == (0, []), argv
+
+    gains = 1.0 - np.exp(-1e-3 * np.add.outer(REFERENCE_MUS, REFERENCE_MUS))
+    gains_path = str(tmp_path / "gains.txt")
+    save_gains(
+        GainErrorMatrices(
+            mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+            e_rect=np.full((3, 3), 0.03), e_diag=np.full((3, 3), 0.04),
+        ),
+        gains_path,
+    )
+    code, modules = probe("rate", gains_path, "--output", "report.txt")
+    assert code == 0
+    assert "scipy.optimize" in modules
+    assert (tmp_path / "report.txt").read_text(encoding="utf-8").startswith("format: ")
+
+    for name in mdiqkd.__all__:
+        assert getattr(mdiqkd, name) is not None, name
+    assert mdiqkd.analyze_matrices is mdiqkd.decoy.analyze_matrices
 
 
 def test_package_entry_point_runs_table1(tmp_path, capsys) -> None:

@@ -464,6 +464,28 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
     assert len(calls) <= 3
 
 
+def test_analyze_matrices_checks_f_ec_before_solving(monkeypatch) -> None:
+    # A bad rate factor is refused before the first linear program.
+    calls = []
+    real_linprog = mdiqkd.decoy.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mdiqkd.decoy, "linprog", counting_linprog)
+    gains = geometric_gains(1e-3)
+    errors = np.full((3, 3), 0.03)
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=errors, e_diag=errors.copy(),
+    )
+    for f_ec in (math.nan, math.inf, 0.5):
+        with pytest.raises(ParameterError, match=r"f_ec must be finite and >= 1, got"):
+            analyze_matrices(matrices, f_ec=f_ec)
+    assert calls == []
+
+
 def test_lp_input_validation() -> None:
     with pytest.raises(ParameterError):
         lp_bound_yield(np.zeros((2, 3)), REFERENCE_MUS)
