@@ -14,28 +14,25 @@ minimizes Y^{11} over the rectilinear brackets.  The single-photon error bound
 maximizes the ratio (YE)^{11} / Y^{11} jointly over the diagonal-basis (Y, YE)
 polytope, posed as one linear program by the Charnes-Cooper transform
 (Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)); the diagonal-basis
-Y^{11} lower bound is solved first to certify that the ratio is well defined.
+Y^{11} lower bound certifies that the ratio is well defined.  The programs
+share no variables, so one linprog call solves them all as the blocks of one
+block-diagonal program.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex and may differ between solver versions.
 
-This is the one module of the package that loads scipy (sparse matrices and
-linprog).  It holds everything that computes: the two bounding programs
-(lp_bound_yield, lp_bound_error and their YieldBound / ErrorBound results),
-the count reduction (gains_from_counts, errors_from_counts,
-matrices_from_counts), the key-rate accounting (shannon_entropy,
-single_photon_gain, secret_key_rate, global_gain_qber) and the pipelines
-analyze_matrices and analyze.  The data contract that the text formats and
-the command line need without a solver (GainErrorMatrices, DecoyResult,
-YieldSolution, the three error classes and the truncation and f_ec defaults)
-lives in mdiqkd.decoy_types and is imported here, so every name of both
-modules can be imported from this one.
+This is the one module of the package that loads scipy.  The data contract
+that the formats and the command line need without a solver lives in
+mdiqkd.decoy_types and is imported here, so every name of both modules can be
+imported from this one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -51,16 +48,14 @@ from .decoy_types import (
     InfeasibleModelError,
     InsufficientCountsError,
     YieldSolution,
+    checked_matrix,
 )
 from .optics import ParameterError, poisson_pmf
 from .session import COUNT_COLUMNS
 
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,141 +107,208 @@ def secret_key_rate(
     return q11 * (1.0 - shannon_entropy(e11)) - q_rect * shannon_entropy(e_rect) * f_ec
 
 
-def _poisson_rows(
-    mus: tuple[float, float, float], truncation: int
-) -> tuple[np.ndarray, np.ndarray]:
+class _Program(NamedTuple):
+    """Minimize c @ x, a_eq @ x = b_eq, a_ub @ x <= 0, bounds[:, 0] <= x <= bounds[:, 1];
+    without a solution, diagnose() raises the error the data are at fault for."""
+
+    c: np.ndarray
+    a_eq: sparse.csr_array
+    b_eq: np.ndarray
+    a_ub: sparse.csr_array
+    bounds: np.ndarray
+    diagnose: Callable[[], None]
+
+
+def _poisson_rows(mus: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-intensity Poisson rows P_m and the per-pair excluded tail masses."""
+    if len(mus) != 3:
+        raise ParameterError(f"mus must have 3 entries, got {mus!r}")
     if not 2 <= truncation <= MAX_TRUNCATION:
-        raise ParameterError(
-            f"truncation must lie in [2, {MAX_TRUNCATION}], got {truncation!r}"
-        )
+        raise ParameterError(f"truncation must lie in [2, {MAX_TRUNCATION}], got {truncation!r}")
     ns = np.arange(truncation + 1)
     rows = np.stack([np.asarray(poisson_pmf(mu, ns), dtype=float) for mu in mus])
     kept = rows.sum(axis=1)
-    tails = 1.0 - np.outer(kept, kept)
-    return rows, np.clip(tails, 0.0, None)
+    return rows, np.clip(1.0 - np.outer(kept, kept), 0.0, None)
 
 
-def _brackets(
-    rows: np.ndarray, tails: np.ndarray, *matrices: tuple[str, np.ndarray]
-) -> tuple[list[tuple[str, int, int]], sparse.csr_array, np.ndarray, np.ndarray]:
-    """Labels, coefficient rows and (lo, hi) of the nine brackets per matrix.
+def _pad(matrix: sparse.sparray, n_cols: int) -> sparse.csr_array:
+    return sparse.hstack([matrix, sparse.csr_array((matrix.shape[0], n_cols))], format="csr")
+
+
+def _bracket_program(
+    rows: np.ndarray,
+    tails: np.ndarray,
+    matrices: list[tuple[str, np.ndarray]],
+    index: int,
+    coupling: sparse.sparray | None = None,
+    denominator: bool = False,
+) -> _Program:
+    """Minimize x[index] over 0 <= x <= 1 with coupling @ x <= 0 and the
+    brackets [Q_ij - T_ij, Q_ij] of each named matrix.
 
     Row 3 i + j of kron(rows, rows) holds P_m(mu_i) P_n(mu_j) at column
     m (T + 1) + n, the weight of surface entry (m, n) in the gain of pair (i, j);
-    the k-th named matrix brackets the k-th surface of the variable vector.
+    the k-th named matrix brackets the k-th surface of x.  Each bracket is
+    an equality with its own slack bounded by the bracket width, which avoids
+    near-duplicate inequality rows when the width is tiny, and is divided by
+    its measured value: the raw gains sit far below the solver's absolute
+    tolerances.  The optimum of a denominator program must exceed _DENOM_FLOOR.
     """
-    labels = [(tag, i, j) for tag, _ in matrices for i in range(3) for j in range(3)]
-    a = sparse.block_diag([np.kron(rows, rows)] * len(matrices), format="csr")
     hi = np.concatenate([values.ravel() for _, values in matrices])
-    return labels, a, hi - np.tile(tails.ravel(), len(matrices)), hi
-
-
-def _scale_brackets(
-    a: sparse.csr_array, lo: np.ndarray, hi: np.ndarray
-) -> tuple[sparse.csr_array, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-normalize brackets: scaled rows, his and widths, and the row scales.
-
-    Every equality then has an O(1) right-hand side; the raw gains sit far
-    below the solver's absolute feasibility tolerances otherwise.
-    """
-    scales = 1.0 / np.maximum(hi, 1e-9)
-    widths = np.clip(hi - lo, 0.0, None)
-    return sparse.diags_array(scales) @ a, hi * scales, widths * scales, scales
-
-
-def _solve_bracket_lp(
-    c: np.ndarray,
-    labels: list[tuple[str, int, int]],
-    a: sparse.csr_array,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    coupling: sparse.sparray | None = None,
-) -> np.ndarray:
-    """Minimize c @ x over 0 <= x <= 1 with lo <= a @ x <= hi and coupling @ x <= 0.
-
-    Each bracket is posed as an equality with its own slack variable bounded
-    by the bracket width (row @ x + s = hi, 0 <= s <= hi - lo), which avoids
-    near-duplicate inequality rows when the width is tiny.  On infeasibility,
-    re-solves with elastic slacks to identify which measured entries cannot be
-    reconciled, then raises InfeasibleModelError.
-    """
+    scale = 1.0 / np.maximum(hi, 1e-9)
+    a = sparse.block_diag(scale.reshape(-1, 9, 1) * np.kron(rows, rows), format="csr")
     n_brackets, n_vars = a.shape
-    a_s, his_s, widths_s, scales = _scale_brackets(a, lo, hi)
-    # All-CSR blocks take scipy's fast stacking path.
-    slack = sparse.eye_array(n_brackets, format="csr")
-    a_eq = sparse.hstack([a_s, slack], format="csr")
-    bounds = [(0.0, 1.0)] * n_vars + [(0.0, w) for w in widths_s]
-    a_ub = a_ub_diag = b_ub = None
-    if coupling is not None:
-        n_hard = coupling.shape[0]
-        a_ub = sparse.hstack([coupling, sparse.csr_array((n_hard, n_brackets))], format="csr")
-        a_ub_diag = sparse.hstack(
-            [a_ub, sparse.csr_array((n_hard, 2 * n_brackets))], format="csr"
-        )
-        b_ub = np.zeros(n_hard)
-    c_full = np.concatenate([c, np.zeros(n_brackets)])
-    res = linprog(
-        c_full,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=his_s,
-        bounds=bounds,
-        method="highs",
-        options=_HIGHS_OPTIONS,
+    labels = [(tag, i, j) for tag, _ in matrices for i in range(3) for j in range(3)]
+    widths = np.tile(tails.ravel(), len(matrices)) * scale
+    c = np.zeros(n_vars + n_brackets)
+    c[index] = 1.0
+    program = _Program(
+        c=c,
+        # All-CSR blocks take scipy's fast stacking path.
+        a_eq=sparse.hstack([a, sparse.eye_array(n_brackets, format="csr")], format="csr"),
+        b_eq=hi * scale,
+        a_ub=sparse.csr_array((0, len(c))) if coupling is None else _pad(coupling, n_brackets),
+        bounds=np.column_stack([np.zeros(len(c)), np.append(np.ones(n_vars), widths)]),
+        diagnose=lambda: None,
     )
-    if res.status == 0:
-        return res.x[:n_vars]
-    if res.status not in (2, 4):
-        raise RuntimeError(f"linear program failed: {res.message}")
+    # A closure over the program it is stored in would be a reference cycle,
+    # which keeps every analysis's matrices alive until the cyclic collector runs.
+    return program._replace(diagnose=lambda: _diagnose(program, labels, scale, denominator))
 
-    # Elastic reformulation: let each equality miss by u (shortfall) or v
-    # (excess) and minimize the total scaled miss.  Near-zero total miss means
-    # the program was feasible and only numerically troubled.
-    elastic = sparse.hstack([a_eq, slack, -slack], format="csr")
-    c_diag = np.concatenate([np.zeros(n_vars + n_brackets), np.ones(2 * n_brackets)])
-    bounds_diag = bounds + [(0.0, None)] * (2 * n_brackets)
-    diag = linprog(
-        c_diag,
-        A_ub=a_ub_diag,
-        b_ub=b_ub,
-        A_eq=elastic,
-        b_eq=his_s,
-        bounds=bounds_diag,
-        method="highs",
-        options=_HIGHS_OPTIONS,
+
+def _error_programs(
+    rows: np.ndarray, tails: np.ndarray, gains: np.ndarray, qbers: np.ndarray
+) -> list[_Program]:
+    """The diagonal-basis Y^{11} program, the ratio's denominator, and the ratio program.
+
+    The ratio (YE)^{11} / Y^{11} is maximized over the feasible set of plain,
+    the (Y, YE) bracket program over the columns (Y, YE, s).  The
+    Charnes-Cooper substitution (z, t) = t ((Y, YE, s), 1), t >= 0, with
+    z_Y^{11} = 1, makes it one linear program: maximize z_YE^{11} = e^{11}
+    subject to plain's rows with right-hand sides times t and its finite
+    upper bounds times t (z_Y <= t, s_k <= width_k t; z_YE <= z_Y covers
+    z_YE).  Inconsistent brackets, or Y^{11} = 0 on the whole polytope, leave
+    it without a solution; plain's diagnosis tells which.
+    """
+    width = rows.shape[1]
+    n_half = width * width
+    # YE - Y <= 0.
+    coupling = sparse.eye_array(n_half, 2 * n_half, k=n_half) - sparse.eye_array(n_half, 2 * n_half)
+    plain = _bracket_program(
+        rows, tails, [("Q", gains), ("QE", gains * qbers)], width + 1, coupling
     )
-    if diag.status != 0:
+    n_cols = len(plain.c)
+    capped = np.r_[:n_half, 2 * n_half : n_cols]
+    eye = sparse.eye_array(n_cols, format="csr")
+    c = np.zeros(n_cols + 1)
+    c[n_half + width + 1] = -1.0
+    ratio = _Program(
+        c=c,
+        a_eq=sparse.bmat(
+            [[eye[[width + 1]], None], [plain.a_eq, -plain.b_eq[:, None]]], format="csr"
+        ),
+        b_eq=np.eye(1, len(plain.b_eq) + 1)[0],
+        a_ub=sparse.bmat(
+            [[plain.a_ub, None], [eye[capped], -plain.bounds[capped, 1:]]], format="csr"
+        ),
+        bounds=np.repeat([[0.0, np.inf]], len(c), axis=0),
+        diagnose=plain.diagnose,
+    )
+    return [_bracket_program(rows, tails, [("Q", gains)], width + 1, denominator=True), ratio]
+
+
+def _linprog(programs: list[_Program], **options):
+    """One linprog call on the programs stacked as one block-diagonal LP."""
+    a_ub = sparse.block_diag([p.a_ub for p in programs], format="csr")
+    return linprog(
+        np.concatenate([p.c for p in programs]),
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=sparse.block_diag([p.a_eq for p in programs], format="csr"),
+        b_eq=np.concatenate([p.b_eq for p in programs]),
+        bounds=np.concatenate([p.bounds for p in programs]),
+        method="highs",
+        options={**_HIGHS_OPTIONS, **options},
+    )
+
+
+def _solve(programs: list[_Program]) -> list[np.ndarray]:
+    """Solve programs that share no variables in one linprog call.
+
+    Minimizing the sum of the objectives over the product of the polytopes
+    optimizes each program; returns each one's part of the vertex.  Blocks
+    are stacked last first, so the ratio program, passed last, takes the
+    first columns (stacked last, it moved e11 by up to 4.8e-7 relative at
+    truncation 30).  Without a solution the programs are diagnosed in the
+    order given, and if none raises the solve is retried without presolve.
+    """
+    stack = programs[::-1]
+    res = _linprog(stack)
+    if res.status != 0:
+        for program in programs:
+            program.diagnose()
+        res = _linprog(stack, presolve=False)
+    if res.status != 0:
         raise RuntimeError(f"linear program failed: {res.message}")
-    misses_scaled = diag.x[n_vars + n_brackets :]
-    if float(misses_scaled.sum()) <= _SLACK_TOL:
-        retry = linprog(
-            c_full,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=his_s,
-            bounds=bounds,
-            method="highs",
-            options={**_HIGHS_OPTIONS, "presolve": False},
+    return np.split(res.x, np.cumsum([len(p.c) for p in stack[:-1]]))[::-1]
+
+
+def _checked_denominator(y11: float) -> float:
+    if y11 <= _DENOM_FLOOR:
+        raise DegenerateBoundError(
+            f"single-photon yield lower bound {y11!r} is too small to divide the error mass by"
         )
-        if retry.status == 0:
-            return retry.x[:n_vars]
-        raise RuntimeError(
-            f"linear program failed numerically on a feasible instance: {res.message}"
+    return y11
+
+
+def _diagnose(program: _Program, labels: list, scale: np.ndarray, denominator: bool) -> None:
+    """Raise what keeps a bracket program from a solution, if the data are at fault.
+
+    Elastic form: each bracket may miss by u (shortfall) or v (excess) at a
+    cost of the total scaled miss.  A positive miss names the brackets no
+    surface meets; with none, a denominator program's optimum is checked.
+    """
+    n_cols, n_miss = len(program.c), 2 * len(labels)
+    slack = sparse.eye_array(n_miss // 2, format="csr")
+    elastic = program._replace(
+        c=np.repeat([0.0, 1.0], [n_cols, n_miss]),
+        a_eq=sparse.hstack([program.a_eq, slack, -slack], format="csr"),
+        a_ub=_pad(program.a_ub, n_miss),
+        bounds=np.concatenate([program.bounds, np.repeat([[0.0, np.inf]], n_miss, axis=0)]),
+    )
+    res = _linprog([elastic])
+    if res.status != 0:
+        raise RuntimeError(f"linear program failed: {res.message}")
+    misses = res.x[n_cols:].reshape(2, -1).sum(axis=0)
+    if float(misses.sum()) > _SLACK_TOL:
+        violations = [
+            (tag, i, j, float(miss / row_scale))
+            for (tag, i, j), miss, row_scale in zip(labels, misses, scale)
+            if miss > _SLACK_TOL
+        ]
+        detail = ", ".join(f"{t}[{i},{j}] off by {s:.3e}" for t, i, j, s in violations)
+        raise InfeasibleModelError(
+            "no yield surface is consistent with the measured matrices"
+            + (f": {detail}" if detail else ""),
+            violations,
         )
-    per_bracket_scaled = misses_scaled[:n_brackets] + misses_scaled[n_brackets:]
-    violations = [
-        (tag, i, j, float(miss / scale))
-        for (tag, i, j), miss, scale in zip(labels, per_bracket_scaled, scales)
-        if miss > _SLACK_TOL
-    ]
-    detail = ", ".join(f"{t}[{i},{j}] off by {s:.3e}" for t, i, j, s in violations)
-    raise InfeasibleModelError(
-        "no yield surface is consistent with the measured matrices"
-        + (f": {detail}" if detail else ""),
-        violations,
+    if denominator and (res := _linprog([program])).status == 0:
+        _checked_denominator(float(program.c @ res.x))
+
+
+def _yield_bound(x: np.ndarray, width: int) -> YieldBound:
+    return YieldBound(value=float(x[width + 1]), surface=x[: width * width].reshape(width, width))
+
+
+def _error_bound(y_x: np.ndarray, ratio_x: np.ndarray, width: int) -> ErrorBound:
+    y11 = _checked_denominator(float(y_x[width + 1]))
+    n_half = width * width
+    z = ratio_x[: 2 * n_half] / ratio_x[-1]
+    return ErrorBound(
+        value=min(0.5, max(0.0, float(ratio_x[n_half + width + 1]))),
+        y11_diag_lower=y11,
+        y_surface=z[:n_half].reshape(width, width),
+        ye_surface=z[n_half:].reshape(width, width),
     )
 
 
@@ -263,16 +325,11 @@ def lp_bound_yield(
     Returns:
         YieldBound with the minimal feasible Y^{11} and one attaining surface.
     """
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (3, 3):
-        raise ParameterError(f"gains must have shape (3, 3), got {gains.shape!r}")
+    gains = checked_matrix("gains", gains)
     rows, tails = _poisson_rows(mus, truncation)
-    width = truncation + 1
-    labels, a, lo, hi = _brackets(rows, tails, ("Q", gains))
-    c = np.zeros(width * width)
-    c[width + 1] = 1.0
-    surface = _solve_bracket_lp(c, labels, a, lo, hi).reshape(width, width)
-    return YieldBound(value=float(surface[1, 1]), surface=surface)
+    width = rows.shape[1]
+    (x,) = _solve([_bracket_program(rows, tails, [("Q", gains)], width + 1)])
+    return _yield_bound(x, width)
 
 
 def lp_bound_error(
@@ -286,84 +343,18 @@ def lp_bound_error(
     Maximizes the ratio (YE)^{11} / Y^{11} over the joint polytope of yields Y
     and error-weighted yields YE with 0 <= YE <= Y <= 1 and both bracket sets
     satisfied.  The true surfaces lie in the polytope, so the ratio optimum
-    dominates the true e^{11}.  The Charnes-Cooper substitution z = t (Y, YE),
-    t >= 0, with the scale fixed by z_Y^{11} = 1, makes it one linear program:
-    maximize z_YE^{11} = e^{11} subject to (a z)_k + s_k = hi_k t,
-    0 <= s_k <= width_k t for the bracket slacks s, and z_YE <= z_Y <= t.
-    The Y^{11} lower bound is solved first; when it is positive,
-    0 < t <= 1 / min Y^{11} and the surfaces are z / t.
+    dominates the true e^{11}.  One linprog call solves the ratio, as one
+    Charnes-Cooper program, together with the Y^{11} lower bound over the
+    gain brackets, which must be positive for the ratio to be defined.
 
     Raises:
         DegenerateBoundError: the Y^{11} lower bound is numerically zero.
         InfeasibleModelError: no surfaces meet the brackets.
     """
-    gains = np.asarray(gains, dtype=float)
-    qbers = np.asarray(qbers, dtype=float)
-    if gains.shape != (3, 3) or qbers.shape != (3, 3):
-        raise ParameterError("gains and qbers must both have shape (3, 3)")
+    gains = checked_matrix("gains", gains)
+    qbers = checked_matrix("qbers", qbers)
     rows, tails = _poisson_rows(mus, truncation)
-    width = truncation + 1
-    n_half = width * width
-    idx_y11 = width + 1
-
-    denominator = lp_bound_yield(gains, mus, truncation)
-    if denominator.value <= _DENOM_FLOOR:
-        raise DegenerateBoundError(
-            f"single-photon yield lower bound {denominator.value!r} is too small "
-            "to divide the error mass by"
-        )
-
-    labels, a, lo, hi = _brackets(rows, tails, ("Q", gains), ("QE", gains * qbers))
-    a_s, his_s, widths_s, _ = _scale_brackets(a, lo, hi)
-    n_brackets = len(labels)
-    eye_s = sparse.eye_array(n_brackets)
-    # YE - Y <= 0.
-    coupling = sparse.eye_array(n_half, 2 * n_half, k=n_half) - sparse.eye_array(n_half, 2 * n_half)
-    # Columns: z = t (Y, YE), s, t.
-    a_eq = sparse.bmat(
-        [
-            [sparse.eye_array(1, 2 * n_half, k=idx_y11), None, None],
-            [a_s, eye_s, -his_s[:, None]],
-        ],
-        format="csr",
-    )
-    a_ub = sparse.bmat(
-        [
-            [coupling, None, None],
-            [sparse.eye_array(n_half, 2 * n_half), None, -np.ones((n_half, 1))],
-            [None, eye_s, -widths_s[:, None]],
-        ],
-        format="csr",
-    )
-    b_eq = np.zeros(n_brackets + 1)
-    b_eq[0] = 1.0
-    c = np.zeros(2 * n_half + n_brackets + 1)
-    c[n_half + idx_y11] = -1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status in (2, 4):
-        # Raises InfeasibleModelError with the certificate if the data are
-        # inconsistent; otherwise the failure is the solver's.
-        _solve_bracket_lp(np.zeros(2 * n_half), labels, a, lo, hi, coupling)
-        raise RuntimeError(f"ratio program failed on a feasible instance: {res.message}")
-    if res.status != 0:
-        raise RuntimeError(f"linear program failed: {res.message}")
-
-    z = res.x[: 2 * n_half] / res.x[-1]
-    return ErrorBound(
-        value=min(0.5, max(0.0, float(res.x[n_half + idx_y11]))),
-        y11_diag_lower=denominator.value,
-        y_surface=z[:n_half].reshape(width, width),
-        ye_surface=z[n_half:].reshape(width, width),
-    )
+    return _error_bound(*_solve(_error_programs(rows, tails, gains, qbers)), rows.shape[1])
 
 
 def global_gain_qber(
@@ -474,10 +465,14 @@ def analyze_matrices(
     extra_warnings: tuple[str, ...] = (),
 ) -> DecoyResult:
     """Run the full bounding pipeline on measured gain/error matrices."""
-    _, tails = _poisson_rows(matrices.mus, truncation)
+    rows, tails = _poisson_rows(matrices.mus, truncation)
     _check_f_ec(f_ec)
-    rect_bound = lp_bound_yield(matrices.q_rect, matrices.mus, truncation)
-    error_bound = lp_bound_error(matrices.q_diag, matrices.e_diag, matrices.mus, truncation)
+    width = rows.shape[1]
+    rect = _bracket_program(rows, tails, [("Q", matrices.q_rect)], width + 1)
+    diag = _error_programs(rows, tails, matrices.q_diag, matrices.e_diag)
+    rect_x, *diag_x = _solve([rect, *diag])
+    rect_bound = _yield_bound(rect_x, width)
+    error_bound = _error_bound(*diag_x, width)
     mu_signal = matrices.mus[0]
     q11 = single_photon_gain(rect_bound.value, mu_signal)
 
@@ -491,7 +486,6 @@ def analyze_matrices(
     rate = secret_key_rate(
         q11, error_bound.value, q_rect_reconstructed, e_rect_measured, f_ec
     )
-    warnings = tuple(extra_warnings)
     return DecoyResult(
         y11_lower=rect_bound.value,
         e11_upper=error_bound.value,
@@ -509,7 +503,7 @@ def analyze_matrices(
             y_diag=error_bound.y_surface,
             ye_diag=error_bound.ye_surface,
         ),
-        warnings=warnings,
+        warnings=tuple(extra_warnings),
     )
 
 

@@ -48,6 +48,16 @@ class InsufficientCountsError(ValueError):
     """A cell required by the analysis has no recorded pulses."""
 
 
+def checked_matrix(name: str, values) -> np.ndarray:
+    """values as a float 3x3 array, refused unless every entry is in [0, 1]."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.shape != (3, 3):
+        raise ParameterError(f"{name} must have shape (3, 3), got {matrix.shape!r}")
+    if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
+        raise ParameterError(f"{name} entries must be finite and lie in [0, 1]")
+    return matrix
+
+
 @dataclasses.dataclass(eq=False)
 class GainErrorMatrices:
     """Measured per-intensity-pair gains and error rates in both bases.
@@ -76,12 +86,7 @@ class GainErrorMatrices:
                 f"intensities must be finite and satisfy signal > decoy > 0, got {self.mus!r}"
             )
         for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
-            matrix = np.asarray(getattr(self, name), dtype=float)
-            if matrix.shape != (3, 3):
-                raise ParameterError(f"{name} must have shape (3, 3), got {matrix.shape!r}")
-            if np.any(~np.isfinite(matrix)) or np.any(matrix < 0.0) or np.any(matrix > 1.0):
-                raise ParameterError(f"{name} entries must be finite and lie in [0, 1]")
-            setattr(self, name, matrix)
+            setattr(self, name, checked_matrix(name, getattr(self, name)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -204,6 +204,28 @@ def test_zero_error_surfaces_give_zero_bound() -> None:
 def test_degenerate_bound_on_vanishing_gains() -> None:
     with pytest.raises(DegenerateBoundError):
         lp_bound_error(np.zeros((3, 3)), np.full((3, 3), 0.5), REFERENCE_MUS)
+    # Feasible rectilinear gains do not hide a degenerate diagonal basis.
+    gains = geometric_gains(1e-3)
+    with pytest.raises(DegenerateBoundError):
+        analyze_matrices(
+            GainErrorMatrices(
+                mus=REFERENCE_MUS, q_rect=gains, q_diag=np.zeros((3, 3)),
+                e_rect=np.full((3, 3), 0.03), e_diag=np.full((3, 3), 0.5),
+            )
+        )
+    # Yields 1e-3 where a sender has no photon and 0 elsewhere: Y11 = 0 fits
+    # these gains, and these error rates fit no (Y, YE) pair.  The degeneracy
+    # is named first.
+    photon = 1.0 - np.exp(-np.array(REFERENCE_MUS))
+    qbers = np.full((3, 3), 0.05)
+    qbers[2, 2] = 0.0
+    qbers[0, 2] = qbers[2, 0] = 1.0
+    with pytest.raises(DegenerateBoundError):
+        lp_bound_error(1e-3 * (1.0 - np.outer(photon, photon)), qbers, REFERENCE_MUS)
+    # Gains scaled toward zero, where Y11 = 0 fits too: the solver reports
+    # this program unbounded, not infeasible.
+    with pytest.raises(DegenerateBoundError):
+        lp_bound_error(1e-9 * geometric_gains(1e-3), np.full((3, 3), 0.05), REFERENCE_MUS)
 
 
 def test_reference_rect_gains_are_infeasible() -> None:
@@ -223,17 +245,31 @@ def test_inconsistent_error_brackets_raise_certificate() -> None:
     qbers = np.full((3, 3), 0.05)
     qbers[2, 2] = 0.0
     qbers[0, 2] = qbers[2, 0] = 1.0
-    with pytest.raises(InfeasibleModelError) as excinfo:
-        lp_bound_error(geometric_gains(1e-3), qbers, REFERENCE_MUS)
-    slacks = {(name, i, j): s for name, i, j, s in excinfo.value.violations}
-    assert set(slacks) == {("QE", 0, 2), ("QE", 2, 0)}
-    for slack in slacks.values():
-        assert slack == pytest.approx(4.736e-4, rel=1e-3)
+    gains = geometric_gains(1e-3)
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=np.full((3, 3), 0.03), e_diag=qbers,
+    )
+    for run in (
+        lambda: lp_bound_error(gains, qbers, REFERENCE_MUS),
+        # Feasible rectilinear gains: the analysis names the same brackets.
+        lambda: analyze_matrices(matrices),
+    ):
+        with pytest.raises(InfeasibleModelError) as excinfo:
+            run()
+        slacks = {(name, i, j): s for name, i, j, s in excinfo.value.violations}
+        assert set(slacks) == {("QE", 0, 2), ("QE", 2, 0)}
+        for slack in slacks.values():
+            assert slack == pytest.approx(4.736e-4, rel=1e-3)
 
 
 def test_reference_analysis_raises_certificate() -> None:
-    with pytest.raises(InfeasibleModelError):
+    with pytest.raises(InfeasibleModelError) as excinfo:
         analyze_matrices(reference_matrices())
+    # The rectilinear certificate comes first.
+    with pytest.raises(InfeasibleModelError) as rect_excinfo:
+        lp_bound_yield(REFERENCE_Q_RECT, REFERENCE_MUS)
+    assert excinfo.value.violations == rect_excinfo.value.violations
 
 
 def test_reference_diag_bounds_frozen() -> None:
@@ -443,8 +479,8 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
 
 
 def test_analyze_matrices_solve_count(monkeypatch) -> None:
-    # One solve each for the rectilinear yield, the diagonal yield and the
-    # error ratio.
+    # The rectilinear yield, the diagonal yield and the error ratio are the
+    # blocks of one linear program, solved once.
     calls = []
     real_linprog = mdiqkd.decoy.linprog
 
@@ -461,7 +497,7 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
             e_rect=errors, e_diag=errors.copy(),
         )
     )
-    assert len(calls) <= 3
+    assert len(calls) == 1
 
 
 def test_analyze_matrices_checks_f_ec_before_solving(monkeypatch) -> None:
@@ -499,5 +535,19 @@ def test_lp_input_validation() -> None:
         )
     with pytest.raises(ParameterError):
         lp_bound_error(geometric_gains(1e-3), np.zeros((2, 2)), REFERENCE_MUS)
+    nan_gains = geometric_gains(1e-3)
+    nan_gains[1, 1] = math.nan
+    with pytest.raises(ParameterError, match="finite"):
+        lp_bound_yield(nan_gains, REFERENCE_MUS)
+    with pytest.raises(ParameterError, match="finite"):
+        lp_bound_error(nan_gains, np.zeros((3, 3)), REFERENCE_MUS)
+    with pytest.raises(ParameterError, match="finite"):
+        lp_bound_error(geometric_gains(1e-3), np.full((3, 3), math.inf), REFERENCE_MUS)
+    with pytest.raises(ParameterError, match="finite"):
+        lp_bound_error(geometric_gains(1e-3), np.full((3, 3), 1.5), REFERENCE_MUS)
+    with pytest.raises(ParameterError, match="3 entries"):
+        lp_bound_yield(geometric_gains(1e-3), (0.5, 0.0))
+    with pytest.raises(ParameterError, match="3 entries"):
+        lp_bound_error(geometric_gains(1e-3), np.zeros((3, 3)), (0.5, 0.1, 0.05, 0.0))
     with pytest.raises(ParameterError):
         poisson_pmf(-0.5, np.arange(3))
