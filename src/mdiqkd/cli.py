@@ -35,14 +35,14 @@ from .io_formats import (
     FormatError,
     ResultReport,
     _write_atomic,
-    file_digest,
     format_counts,
     format_hom_table,
     format_report,
-    load_counts,
-    load_gains,
     load_hom_config,
     load_session_config,
+    parse_counts,
+    parse_gains,
+    read_text,
 )
 from .optics import SOP_BY_CODE, SOP_LABELS, ParameterError
 from .session import hom_scan, run_session
@@ -91,11 +91,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .decoy import analyze
 
-    tables = load_counts(args.counts, strict=args.strict)
+    text, digest = read_text(args.counts)
+    tables = parse_counts(text, strict=args.strict, source=args.counts)
     result = analyze(tables, truncation=args.truncation, f_ec=args.f_ec)
-    report = ResultReport(
-        result=result, input_sha256=file_digest(args.counts), seed=tables.seed
-    )
+    report = ResultReport(result=result, input_sha256=digest, seed=tables.seed)
     _emit(format_report(report), args.output)
     return EXIT_OK
 
@@ -103,9 +102,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_rate(args: argparse.Namespace) -> int:
     from .decoy import analyze_matrices
 
-    matrices = load_gains(args.gains, strict=args.strict)
+    text, digest = read_text(args.gains)
+    matrices = parse_gains(text, strict=args.strict, source=args.gains)
     result = analyze_matrices(matrices, truncation=args.truncation, f_ec=args.f_ec)
-    report = ResultReport(result=result, input_sha256=file_digest(args.gains))
+    report = ResultReport(result=result, input_sha256=digest)
     _emit(format_report(report), args.output)
     return EXIT_OK
 

@@ -16,7 +16,8 @@ polytope, posed as one linear program by the Charnes-Cooper transform
 (Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)); the diagonal-basis
 Y^{11} lower bound certifies that the ratio is well defined.  The programs
 share no variables, so one linprog call solves them all as the blocks of one
-block-diagonal program.
+block-diagonal program.  Each program's equality rows are a dense array built
+with numpy; the inequality rows, (T + 1)^2 or more, stay sparse.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex and may differ between solver versions.
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .decoy_types import (
@@ -56,6 +57,8 @@ from .session import COUNT_COLUMNS
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Bracket k of a program: the gains Q, then the error-weighted gains QE, pair (i, j).
+_BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in range(3)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +92,8 @@ def single_photon_gain(y11: float, mu_signal: float) -> float:
     """Gain of the (1, 1) photon component at signal intensity both sides."""
     if not 0.0 <= y11 <= 1.0:
         raise ParameterError(f"y11 must lie in [0, 1], got {y11!r}")
-    if not mu_signal > 0.0:
-        raise ParameterError(f"mu_signal must be > 0, got {mu_signal!r}")
+    if not (math.isfinite(mu_signal) and mu_signal > 0.0):
+        raise ParameterError(f"mu_signal must be finite and > 0, got {mu_signal!r}")
     return y11 * mu_signal**2 * math.exp(-2.0 * mu_signal)
 
 
@@ -104,19 +107,27 @@ def secret_key_rate(
 ) -> float:
     """Secret fraction per gate from the single-photon and error-correction terms."""
     _check_f_ec(f_ec)
+    for name, gain in (("q11", q11), ("q_rect", q_rect)):
+        if not (math.isfinite(gain) and gain >= 0.0):
+            raise ParameterError(f"{name} must be finite and >= 0, got {gain!r}")
     return q11 * (1.0 - shannon_entropy(e11)) - q_rect * shannon_entropy(e_rect) * f_ec
 
 
 class _Program(NamedTuple):
-    """Minimize c @ x, a_eq @ x = b_eq, a_ub @ x <= 0, bounds[:, 0] <= x <= bounds[:, 1];
-    without a solution, diagnose() raises the error the data are at fault for."""
+    """Minimize c @ x, a_eq @ x = b_eq, a_ub @ x <= 0, bounds[:, 0] <= x <= bounds[:, 1].
+
+    a_eq is dense (at most 19 rows), a_ub sparse (up to 2 (T + 1)^2 + 18 rows).
+    The other fields tell _diagnose what to check when there is no solution.
+    """
 
     c: np.ndarray
-    a_eq: sparse.csr_array
+    a_eq: np.ndarray
     b_eq: np.ndarray
     a_ub: sparse.csr_array
     bounds: np.ndarray
-    diagnose: Callable[[], None]
+    scale: np.ndarray | None = None
+    denominator: bool = False
+    plain: _Program | None = None
 
 
 def _poisson_rows(mus: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,49 +142,33 @@ def _poisson_rows(mus: tuple[float, ...], truncation: int) -> tuple[np.ndarray, 
     return rows, np.clip(1.0 - np.outer(kept, kept), 0.0, None)
 
 
-def _pad(matrix: sparse.sparray, n_cols: int) -> sparse.csr_array:
-    return sparse.hstack([matrix, sparse.csr_array((matrix.shape[0], n_cols))], format="csr")
-
-
-def _bracket_program(
-    rows: np.ndarray,
-    tails: np.ndarray,
-    matrices: list[tuple[str, np.ndarray]],
-    index: int,
-    coupling: sparse.sparray | None = None,
-    denominator: bool = False,
-) -> _Program:
-    """Minimize x[index] over 0 <= x <= 1 with coupling @ x <= 0 and the
-    brackets [Q_ij - T_ij, Q_ij] of each named matrix.
+def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndarray]) -> _Program:
+    """Minimize Y^{11} over 0 <= x <= 1 and the brackets [Q_ij - T_ij, Q_ij]
+    of each matrix (Q, then QE).
 
     Row 3 i + j of kron(rows, rows) holds P_m(mu_i) P_n(mu_j) at column
     m (T + 1) + n, the weight of surface entry (m, n) in the gain of pair (i, j);
-    the k-th named matrix brackets the k-th surface of x.  Each bracket is
+    the k-th matrix brackets the k-th surface of x.  Each bracket is
     an equality with its own slack bounded by the bracket width, which avoids
     near-duplicate inequality rows when the width is tiny, and is divided by
     its measured value: the raw gains sit far below the solver's absolute
-    tolerances.  The optimum of a denominator program must exceed _DENOM_FLOOR.
+    tolerances.
     """
-    hi = np.concatenate([values.ravel() for _, values in matrices])
+    hi = np.concatenate([values.ravel() for values in matrices])
     scale = 1.0 / np.maximum(hi, 1e-9)
-    a = sparse.block_diag(scale.reshape(-1, 9, 1) * np.kron(rows, rows), format="csr")
+    a = scale[:, None] * np.kron(np.eye(len(matrices)), np.kron(rows, rows))
     n_brackets, n_vars = a.shape
-    labels = [(tag, i, j) for tag, _ in matrices for i in range(3) for j in range(3)]
     widths = np.tile(tails.ravel(), len(matrices)) * scale
     c = np.zeros(n_vars + n_brackets)
-    c[index] = 1.0
-    program = _Program(
+    c[rows.shape[1] + 1] = 1.0
+    return _Program(
         c=c,
-        # All-CSR blocks take scipy's fast stacking path.
-        a_eq=sparse.hstack([a, sparse.eye_array(n_brackets, format="csr")], format="csr"),
+        a_eq=np.hstack([a, np.eye(n_brackets)]),
         b_eq=hi * scale,
-        a_ub=sparse.csr_array((0, len(c))) if coupling is None else _pad(coupling, n_brackets),
+        a_ub=sparse.csr_array((0, len(c))),
         bounds=np.column_stack([np.zeros(len(c)), np.append(np.ones(n_vars), widths)]),
-        diagnose=lambda: None,
+        scale=scale,
     )
-    # A closure over the program it is stored in would be a reference cycle,
-    # which keeps every analysis's matrices alive until the cyclic collector runs.
-    return program._replace(diagnose=lambda: _diagnose(program, labels, scale, denominator))
 
 
 def _error_programs(
@@ -182,39 +177,43 @@ def _error_programs(
     """The diagonal-basis Y^{11} program, the ratio's denominator, and the ratio program.
 
     The ratio (YE)^{11} / Y^{11} is maximized over the feasible set of plain,
-    the (Y, YE) bracket program over the columns (Y, YE, s).  The
+    the (Y, YE) bracket program over the columns (Y, YE, s) with YE <= Y.  The
     Charnes-Cooper substitution (z, t) = t ((Y, YE, s), 1), t >= 0, with
-    z_Y^{11} = 1, makes it one linear program: maximize z_YE^{11} = e^{11}
-    subject to plain's rows with right-hand sides times t and its finite
-    upper bounds times t (z_Y <= t, s_k <= width_k t; z_YE <= z_Y covers
-    z_YE).  Inconsistent brackets, or Y^{11} = 0 on the whole polytope, leave
-    it without a solution; plain's diagnosis tells which.
+    z_Y^{11} = sigma, the largest gain, so that t = sigma / Y^{11} stays of
+    order 1, makes it one linear program: maximize z_YE^{11} subject to
+    plain's rows with right-hand sides times t and its finite upper bounds
+    times t (z_Y <= t, s_k <= width_k t; z_YE <= z_Y covers z_YE).
+    Inconsistent brackets, or Y^{11} = 0 on the whole polytope, leave it
+    without a solution; plain's diagnosis tells which.
     """
     width = rows.shape[1]
     n_half = width * width
-    # YE - Y <= 0.
-    coupling = sparse.eye_array(n_half, 2 * n_half, k=n_half) - sparse.eye_array(n_half, 2 * n_half)
-    plain = _bracket_program(
-        rows, tails, [("Q", gains), ("QE", gains * qbers)], width + 1, coupling
-    )
+    plain = _bracket_program(rows, tails, [gains, gains * qbers])
     n_cols = len(plain.c)
     capped = np.r_[:n_half, 2 * n_half : n_cols]
-    eye = sparse.eye_array(n_cols, format="csr")
+    upper = plain.bounds[capped, 1]
+    # The inequality rows over the columns (z, t), two entries each: YE - Y <= 0,
+    # which plain shares, then z_k - upper_k t <= 0 on the capped columns.
+    k = np.arange(n_half)
+    cols = np.r_[np.c_[k, n_half + k], np.c_[capped, np.full(len(capped), n_cols)]]
+    vals = np.r_[np.tile([-1.0, 1.0], (n_half, 1)), np.c_[np.ones(len(capped)), -upper]]
+    indptr = np.arange(0, cols.size + 1, 2)
+    a_ub = sparse.csr_array((vals.ravel(), cols.ravel(), indptr), shape=(len(cols), n_cols + 1))
+    plain = plain._replace(a_ub=a_ub[:n_half, :n_cols])
     c = np.zeros(n_cols + 1)
     c[n_half + width + 1] = -1.0
+    sigma = float(gains.max()) or 1.0  # all-zero gains: degenerate, refused later
     ratio = _Program(
         c=c,
-        a_eq=sparse.bmat(
-            [[eye[[width + 1]], None], [plain.a_eq, -plain.b_eq[:, None]]], format="csr"
+        a_eq=np.block(
+            [[np.eye(1, n_cols, width + 1) / sigma, 0.0], [plain.a_eq, -plain.b_eq[:, None]]]
         ),
         b_eq=np.eye(1, len(plain.b_eq) + 1)[0],
-        a_ub=sparse.bmat(
-            [[plain.a_ub, None], [eye[capped], -plain.bounds[capped, 1:]]], format="csr"
-        ),
+        a_ub=a_ub,
         bounds=np.repeat([[0.0, np.inf]], len(c), axis=0),
-        diagnose=plain.diagnose,
+        plain=plain,
     )
-    return [_bracket_program(rows, tails, [("Q", gains)], width + 1, denominator=True), ratio]
+    return [_bracket_program(rows, tails, [gains])._replace(denominator=True), ratio]
 
 
 def _linprog(programs: list[_Program], **options):
@@ -224,7 +223,7 @@ def _linprog(programs: list[_Program], **options):
         np.concatenate([p.c for p in programs]),
         A_ub=a_ub,
         b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=sparse.block_diag([p.a_eq for p in programs], format="csr"),
+        A_eq=sparse.csr_array(block_diag(*[p.a_eq for p in programs])),
         b_eq=np.concatenate([p.b_eq for p in programs]),
         bounds=np.concatenate([p.bounds for p in programs]),
         method="highs",
@@ -246,7 +245,7 @@ def _solve(programs: list[_Program]) -> list[np.ndarray]:
     res = _linprog(stack)
     if res.status != 0:
         for program in programs:
-            program.diagnose()
+            _diagnose(program if program.plain is None else program.plain)
         res = _linprog(stack, presolve=False)
     if res.status != 0:
         raise RuntimeError(f"linear program failed: {res.message}")
@@ -261,19 +260,21 @@ def _checked_denominator(y11: float) -> float:
     return y11
 
 
-def _diagnose(program: _Program, labels: list, scale: np.ndarray, denominator: bool) -> None:
+def _diagnose(program: _Program) -> None:
     """Raise what keeps a bracket program from a solution, if the data are at fault.
 
     Elastic form: each bracket may miss by u (shortfall) or v (excess) at a
     cost of the total scaled miss.  A positive miss names the brackets no
-    surface meets; with none, a denominator program's optimum is checked.
+    surface meets (bracket k is divided by scale[k]); with none, a
+    denominator program's optimum is checked.
     """
-    n_cols, n_miss = len(program.c), 2 * len(labels)
-    slack = sparse.eye_array(n_miss // 2, format="csr")
+    n_cols, n_miss = len(program.c), 2 * len(program.scale)
+    a_ub = program.a_ub.copy()
+    a_ub.resize((a_ub.shape[0], n_cols + n_miss))
     elastic = program._replace(
         c=np.repeat([0.0, 1.0], [n_cols, n_miss]),
-        a_eq=sparse.hstack([program.a_eq, slack, -slack], format="csr"),
-        a_ub=_pad(program.a_ub, n_miss),
+        a_eq=np.hstack([program.a_eq, np.eye(n_miss // 2), -np.eye(n_miss // 2)]),
+        a_ub=a_ub,
         bounds=np.concatenate([program.bounds, np.repeat([[0.0, np.inf]], n_miss, axis=0)]),
     )
     res = _linprog([elastic])
@@ -283,7 +284,7 @@ def _diagnose(program: _Program, labels: list, scale: np.ndarray, denominator: b
     if float(misses.sum()) > _SLACK_TOL:
         violations = [
             (tag, i, j, float(miss / row_scale))
-            for (tag, i, j), miss, row_scale in zip(labels, misses, scale)
+            for (tag, i, j), miss, row_scale in zip(_BRACKET_LABELS, misses, program.scale)
             if miss > _SLACK_TOL
         ]
         detail = ", ".join(f"{t}[{i},{j}] off by {s:.3e}" for t, i, j, s in violations)
@@ -292,7 +293,7 @@ def _diagnose(program: _Program, labels: list, scale: np.ndarray, denominator: b
             + (f": {detail}" if detail else ""),
             violations,
         )
-    if denominator and (res := _linprog([program])).status == 0:
+    if program.denominator and (res := _linprog([program])).status == 0:
         _checked_denominator(float(program.c @ res.x))
 
 
@@ -305,7 +306,7 @@ def _error_bound(y_x: np.ndarray, ratio_x: np.ndarray, width: int) -> ErrorBound
     n_half = width * width
     z = ratio_x[: 2 * n_half] / ratio_x[-1]
     return ErrorBound(
-        value=min(0.5, max(0.0, float(ratio_x[n_half + width + 1]))),
+        value=min(0.5, max(0.0, float(ratio_x[n_half + width + 1] / ratio_x[width + 1]))),
         y11_diag_lower=y11,
         y_surface=z[:n_half].reshape(width, width),
         ye_surface=z[n_half:].reshape(width, width),
@@ -327,9 +328,8 @@ def lp_bound_yield(
     """
     gains = checked_matrix("gains", gains)
     rows, tails = _poisson_rows(mus, truncation)
-    width = rows.shape[1]
-    (x,) = _solve([_bracket_program(rows, tails, [("Q", gains)], width + 1)])
-    return _yield_bound(x, width)
+    (x,) = _solve([_bracket_program(rows, tails, [gains])])
+    return _yield_bound(x, rows.shape[1])
 
 
 def lp_bound_error(
@@ -468,7 +468,7 @@ def analyze_matrices(
     rows, tails = _poisson_rows(matrices.mus, truncation)
     _check_f_ec(f_ec)
     width = rows.shape[1]
-    rect = _bracket_program(rows, tails, [("Q", matrices.q_rect)], width + 1)
+    rect = _bracket_program(rows, tails, [matrices.q_rect])
     diag = _error_programs(rows, tails, matrices.q_diag, matrices.e_diag)
     rect_x, *diag_x = _solve([rect, *diag])
     rect_bound = _yield_bound(rect_x, width)

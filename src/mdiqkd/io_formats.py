@@ -69,11 +69,18 @@ class FormatError(ValueError):
 
 def file_digest(path: str) -> str:
     """SHA-256 hex digest of a file's raw bytes."""
-    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def read_text(path: str) -> tuple[str, str]:
+    """A UTF-8 text file's contents and the SHA-256 hex digest of its bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _write_atomic(text: str, path: str) -> None:
@@ -314,8 +321,7 @@ def save_counts(tables: CountTables, path: str) -> None:
 
 def load_counts(path: str, strict: bool = False) -> CountTables:
     """Read a counts file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_counts(handle.read(), strict=strict, source=path)
+    return parse_counts(read_text(path)[0], strict=strict, source=path)
 
 
 # Gain/error tables.
@@ -377,8 +383,7 @@ def save_gains(matrices: GainErrorMatrices, path: str) -> None:
 
 def load_gains(path: str, strict: bool = False) -> GainErrorMatrices:
     """Read a gain-table file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_gains(handle.read(), strict=strict, source=path)
+    return parse_gains(read_text(path)[0], strict=strict, source=path)
 
 
 # Analysis reports.
@@ -570,10 +575,7 @@ def load_session_config(
     path: str, strict: bool = False, overrides: dict | None = None
 ) -> SessionConfig:
     """Read a session config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_session_config(
-            handle.read(), strict=strict, source=path, overrides=overrides
-        )
+    return parse_session_config(read_text(path)[0], strict=strict, source=path, overrides=overrides)
 
 
 def parse_hom_config(
@@ -612,7 +614,4 @@ def load_hom_config(
     path: str, strict: bool = False, overrides: dict | None = None
 ) -> HomScanConfig:
     """Read an interference-scan config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_hom_config(
-            handle.read(), strict=strict, source=path, overrides=overrides
-        )
+    return parse_hom_config(read_text(path)[0], strict=strict, source=path, overrides=overrides)

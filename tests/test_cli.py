@@ -210,6 +210,14 @@ def test_bad_config_exits_one(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_one(tmp_path, capsys) -> None:
+    for command in ("rate", "analyze", "simulate", "hom-scan"):
+        path = tmp_path / f"{command}.txt"
+        path.write_bytes(b"\xff\n")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_table1_matches_analyzer_response(capsys) -> None:
     assert main(["table1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,8 +113,9 @@ def test_single_photon_gain_closed_form() -> None:
     assert single_photon_gain(0.0, 0.5) == 0.0
     with pytest.raises(ParameterError):
         single_photon_gain(1.5, 0.5)
-    with pytest.raises(ParameterError):
-        single_photon_gain(0.5, 0.0)
+    for mu_signal in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="mu_signal"):
+            single_photon_gain(0.5, mu_signal)
 
 
 def test_secret_key_rate_reference_reduction() -> None:
@@ -133,6 +135,11 @@ def test_secret_key_rate_reference_reduction() -> None:
     for f_ec in (0.99, math.nan, math.inf):
         with pytest.raises(ParameterError):
             secret_key_rate(1e-6, 0.02, 1e-5, 0.057, f_ec=f_ec)
+    for bad in (-1e-6, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="q11"):
+            secret_key_rate(bad, 0.02, 1e-5, 0.057)
+        with pytest.raises(ParameterError, match="q_rect"):
+            secret_key_rate(1e-6, 0.02, bad, 0.057)
 
 
 def geometric_gains(y0: float, mus=REFERENCE_MUS) -> np.ndarray:
@@ -222,10 +229,50 @@ def test_degenerate_bound_on_vanishing_gains() -> None:
     qbers[0, 2] = qbers[2, 0] = 1.0
     with pytest.raises(DegenerateBoundError):
         lp_bound_error(1e-3 * (1.0 - np.outer(photon, photon)), qbers, REFERENCE_MUS)
-    # Gains scaled toward zero, where Y11 = 0 fits too: the solver reports
-    # this program unbounded, not infeasible.
+    # Gains scaled toward zero, where Y11 = 0 fits too: the ratio program
+    # solves, and the zero Y11 lower bound is refused.
     with pytest.raises(DegenerateBoundError):
         lp_bound_error(1e-9 * geometric_gains(1e-3), np.full((3, 3), 0.05), REFERENCE_MUS)
+
+
+def test_tiny_diagonal_gains_give_one_bound() -> None:
+    # Diagonal gains far below the truncation tails leave Y11 near 6e-11.
+    # The ratio program still solves, to the same bound from both entry points.
+    errors = np.full((3, 3), 0.05)
+    for y0, factor in ((1e-3, 1e-7), (1e-2, 1e-8)):
+        q_diag = factor * geometric_gains(y0)
+        bound = lp_bound_error(q_diag, errors, REFERENCE_MUS)
+        result = analyze_matrices(
+            GainErrorMatrices(
+                mus=REFERENCE_MUS, q_rect=geometric_gains(y0), q_diag=q_diag,
+                e_rect=errors, e_diag=errors.copy(),
+            )
+        )
+        assert bound.value >= 0.05
+        assert result.e11_upper == pytest.approx(bound.value, rel=1e-9)
+
+
+def test_analysis_at_the_truncation_ceiling() -> None:
+    # The inequality rows grow as (T + 1)^2 per row block; kept sparse, an
+    # analysis at the ceiling needs a few MiB, where dense rows would need
+    # hundreds.
+    y0, e0 = 1e-3, 0.05
+    gains = geometric_gains(y0)
+    errors = np.full((3, 3), e0)
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=errors, e_diag=errors.copy(),
+    )
+    tracemalloc.start()
+    try:
+        result = analyze_matrices(matrices, truncation=MAX_TRUNCATION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.solution.y_rect.shape == (MAX_TRUNCATION + 1, MAX_TRUNCATION + 1)
+    assert result.y11_lower <= 1.0 - (1.0 - y0) ** 2 + 1e-9
+    assert result.e11_upper >= e0 - 1e-9
+    assert peak < 32 * 2**20
 
 
 def test_reference_rect_gains_are_infeasible() -> None:
