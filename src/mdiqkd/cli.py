@@ -5,7 +5,7 @@ unknown flags), 2 when the bounding programs certify the measured model
 infeasible or degenerate.  Output files are written atomically after the
 full result is formatted, so a nonzero exit never leaves a partial file.
 
-Only analyze and rate import the bounding programs (and with them scipy);
+Only analyze and rate solve bounding programs, and with them load scipy;
 simulate, hom-scan and table1 load numpy only.
 """
 
@@ -23,13 +23,15 @@ from .bsa import (
     _pattern_table,
     fock_bsa_oracle,
 )
-from .decoy_types import (
+from .decoy import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
     MAX_TRUNCATION,
     DegenerateBoundError,
     InfeasibleModelError,
     InsufficientCountsError,
+    analyze,
+    analyze_matrices,
 )
 from .io_formats import (
     FormatError,
@@ -89,8 +91,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .decoy import analyze
-
     text, digest = read_text(args.counts)
     tables = parse_counts(text, strict=args.strict, source=args.counts)
     result = analyze(tables, truncation=args.truncation, f_ec=args.f_ec)
@@ -100,8 +100,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    from .decoy import analyze_matrices
-
     text, digest = read_text(args.gains)
     matrices = parse_gains(text, strict=args.strict, source=args.gains)
     result = analyze_matrices(matrices, truncation=args.truncation, f_ec=args.f_ec)

@@ -16,16 +16,15 @@ polytope, posed as one linear program by the Charnes-Cooper transform
 (Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)); the diagonal-basis
 Y^{11} lower bound certifies that the ratio is well defined.  The programs
 share no variables, so one linprog call solves them all as the blocks of one
-block-diagonal program.  Each program's equality rows are a dense array built
-with numpy; the inequality rows, (T + 1)^2 or more, stay sparse.
+block-diagonal program.  Each program is plain numpy arrays: a dense equality
+block and the column indices and values of its inequality rows, two entries
+each.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex and may differ between solver versions.
 
-This is the one module of the package that loads scipy.  The data contract
-that the formats and the command line need without a solver lives in
-mdiqkd.decoy_types and is imported here, so every name of both modules can be
-imported from this one.
+Importing this module loads numpy only: scipy is imported by _linprog, the one
+function that calls the solver, when a bound is first solved.
 """
 
 from __future__ import annotations
@@ -35,24 +34,111 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import block_diag
-from scipy.optimize import linprog
 
-from .decoy_types import (
-    DEFAULT_F_EC,
-    DEFAULT_TRUNCATION,
-    MAX_TRUNCATION,
-    DecoyResult,
-    DegenerateBoundError,
-    GainErrorMatrices,
-    InfeasibleModelError,
-    InsufficientCountsError,
-    YieldSolution,
-    checked_matrix,
-)
 from .optics import ParameterError, poisson_pmf
 from .session import COUNT_COLUMNS
+
+DEFAULT_TRUNCATION = 7
+# Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
+# typical intensities, and the programs grow as (T + 1)^2 variables.
+MAX_TRUNCATION = 50
+DEFAULT_F_EC = 1.164
+
+
+class InfeasibleModelError(RuntimeError):
+    """No yield surface is consistent with the supplied gain/error matrices.
+
+    Attributes:
+        violations: list of (matrix, i, j, slack) naming the brackets that
+            cannot be met and the minimal total slack assigned to each.
+    """
+
+    def __init__(self, message: str, violations: list[tuple[str, int, int, float]]):
+        super().__init__(message)
+        self.violations = violations
+
+
+class DegenerateBoundError(RuntimeError):
+    """The single-photon yield lower bound vanished, so no error bound exists."""
+
+
+class InsufficientCountsError(ValueError):
+    """A cell required by the analysis has no recorded pulses."""
+
+
+def checked_matrix(name: str, values, shape: tuple[int, ...] = (3, 3)) -> np.ndarray:
+    """values as a float array of this shape, refused unless every entry is in [0, 1]."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.shape != shape:
+        raise ParameterError(f"{name} must have shape {shape!r}, got {matrix.shape!r}")
+    if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
+        raise ParameterError(f"{name} entries must be finite and lie in [0, 1]")
+    return matrix
+
+
+@dataclasses.dataclass(eq=False)
+class GainErrorMatrices:
+    """Measured per-intensity-pair gains and error rates in both bases.
+
+    Attributes:
+        mus: (signal, decoy, vacuum) mean photon numbers, signal > decoy > 0,
+            vacuum exactly 0.
+        q_rect, q_diag: 3x3 gain matrices, entries in [0, 1].
+        e_rect, e_diag: 3x3 error-rate matrices, entries in [0, 1].
+    """
+
+    mus: tuple[float, float, float]
+    q_rect: np.ndarray
+    q_diag: np.ndarray
+    e_rect: np.ndarray
+    e_diag: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.mus) != 3:
+            raise ParameterError(f"mus must have 3 entries, got {self.mus!r}")
+        signal, decoy, vacuum = self.mus
+        if vacuum != 0.0:
+            raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")
+        if not math.inf > signal > decoy > 0.0:
+            raise ParameterError(
+                f"intensities must be finite and satisfy signal > decoy > 0, got {self.mus!r}"
+            )
+        for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
+            setattr(self, name, checked_matrix(name, getattr(self, name)))
+
+
+@dataclasses.dataclass(frozen=True)
+class YieldSolution:
+    """Optimal-vertex yield surfaces from the bounding programs.
+
+    Shapes are (truncation + 1, truncation + 1).  ye_diag holds the
+    error-weighted yields of the diagonal-basis program.  The surfaces are
+    diagnostic only; bounds are the contractual outputs.
+    """
+
+    y_rect: np.ndarray
+    y_diag: np.ndarray
+    ye_diag: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class DecoyResult:
+    """Full analysis output: bounds, reconstructed totals, and the key rate."""
+
+    y11_lower: float
+    e11_upper: float
+    q11: float
+    q_rect_measured: float
+    q_rect_reconstructed: float
+    q_rect_global: float
+    e_rect_global: float
+    rate: float
+    f_ec: float
+    truncation: int
+    mus: tuple[float, float, float]
+    solution: YieldSolution
+    warnings: tuple[str, ...]
+
 
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
@@ -116,15 +202,17 @@ def secret_key_rate(
 class _Program(NamedTuple):
     """Minimize c @ x, a_eq @ x = b_eq, a_ub @ x <= 0, bounds[:, 0] <= x <= bounds[:, 1].
 
-    a_eq is dense (at most 19 rows), a_ub sparse (up to 2 (T + 1)^2 + 18 rows).
+    a_eq is dense (at most 19 rows).  Row k of a_ub holds ub_vals[k] at the
+    columns ub_cols[k], two entries per row (up to 2 (T + 1)^2 + 18 rows).
     The other fields tell _diagnose what to check when there is no solution.
     """
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    a_ub: sparse.csr_array
     bounds: np.ndarray
+    ub_cols: np.ndarray = np.empty((0, 2), dtype=int)
+    ub_vals: np.ndarray = np.empty((0, 2))
     scale: np.ndarray | None = None
     denominator: bool = False
     plain: _Program | None = None
@@ -165,7 +253,6 @@ def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndar
         c=c,
         a_eq=np.hstack([a, np.eye(n_brackets)]),
         b_eq=hi * scale,
-        a_ub=sparse.csr_array((0, len(c))),
         bounds=np.column_stack([np.zeros(len(c)), np.append(np.ones(n_vars), widths)]),
         scale=scale,
     )
@@ -192,14 +279,12 @@ def _error_programs(
     n_cols = len(plain.c)
     capped = np.r_[:n_half, 2 * n_half : n_cols]
     upper = plain.bounds[capped, 1]
-    # The inequality rows over the columns (z, t), two entries each: YE - Y <= 0,
-    # which plain shares, then z_k - upper_k t <= 0 on the capped columns.
+    # The inequality rows over the columns (z, t): YE - Y <= 0, which plain
+    # shares, then z_k - upper_k t <= 0 on the capped columns.
     k = np.arange(n_half)
     cols = np.r_[np.c_[k, n_half + k], np.c_[capped, np.full(len(capped), n_cols)]]
     vals = np.r_[np.tile([-1.0, 1.0], (n_half, 1)), np.c_[np.ones(len(capped)), -upper]]
-    indptr = np.arange(0, cols.size + 1, 2)
-    a_ub = sparse.csr_array((vals.ravel(), cols.ravel(), indptr), shape=(len(cols), n_cols + 1))
-    plain = plain._replace(a_ub=a_ub[:n_half, :n_cols])
+    plain = plain._replace(ub_cols=cols[:n_half], ub_vals=vals[:n_half])
     c = np.zeros(n_cols + 1)
     c[n_half + width + 1] = -1.0
     sigma = float(gains.max()) or 1.0  # all-zero gains: degenerate, refused later
@@ -209,8 +294,9 @@ def _error_programs(
             [[np.eye(1, n_cols, width + 1) / sigma, 0.0], [plain.a_eq, -plain.b_eq[:, None]]]
         ),
         b_eq=np.eye(1, len(plain.b_eq) + 1)[0],
-        a_ub=a_ub,
         bounds=np.repeat([[0.0, np.inf]], len(c), axis=0),
+        ub_cols=cols,
+        ub_vals=vals,
         plain=plain,
     )
     return [_bracket_program(rows, tails, [gains])._replace(denominator=True), ratio]
@@ -218,11 +304,20 @@ def _error_programs(
 
 def _linprog(programs: list[_Program], **options):
     """One linprog call on the programs stacked as one block-diagonal LP."""
-    a_ub = sparse.block_diag([p.a_ub for p in programs], format="csr")
+    from scipy import sparse
+    from scipy.linalg import block_diag
+    from scipy.optimize import linprog
+
+    widths = [len(p.c) for p in programs]
+    cols = np.concatenate([p.ub_cols + at for p, at in zip(programs, np.cumsum(widths) - widths)])
+    vals = np.concatenate([p.ub_vals for p in programs])
+    a_ub = sparse.csr_array(
+        (vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 2)), shape=(len(cols), sum(widths))
+    )
     return linprog(
         np.concatenate([p.c for p in programs]),
         A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
+        b_ub=np.zeros(len(cols)),
         A_eq=sparse.csr_array(block_diag(*[p.a_eq for p in programs])),
         b_eq=np.concatenate([p.b_eq for p in programs]),
         bounds=np.concatenate([p.bounds for p in programs]),
@@ -269,12 +364,9 @@ def _diagnose(program: _Program) -> None:
     denominator program's optimum is checked.
     """
     n_cols, n_miss = len(program.c), 2 * len(program.scale)
-    a_ub = program.a_ub.copy()
-    a_ub.resize((a_ub.shape[0], n_cols + n_miss))
     elastic = program._replace(
         c=np.repeat([0.0, 1.0], [n_cols, n_miss]),
         a_eq=np.hstack([program.a_eq, np.eye(n_miss // 2), -np.eye(n_miss // 2)]),
-        a_ub=a_ub,
         bounds=np.concatenate([program.bounds, np.repeat([[0.0, np.inf]], n_miss, axis=0)]),
     )
     res = _linprog([elastic])
@@ -363,9 +455,9 @@ def global_gain_qber(
     """Reconstruct the signal-signal gain and error rate from yield surfaces.
 
     Args:
-        yield_surface: (M+1, M+1) per-photon-number yields.
-        error_surface: (M+1, M+1) per-photon-number error fractions.
-        mu_signal: signal intensity applied on both sides.
+        yield_surface: (M+1, M+1) per-photon-number yields, entries in [0, 1].
+        error_surface: (M+1, M+1) per-photon-number error fractions, entries in [0, 1].
+        mu_signal: finite signal intensity > 0, applied on both sides.
 
     Returns:
         (gain, qber) of the truncated reconstruction; the Poisson mass outside
@@ -377,8 +469,10 @@ def global_gain_qber(
         raise ParameterError(f"yield_surface must be square, got {yields.shape!r}")
     if errors.shape != yields.shape:
         raise ParameterError("error_surface must match yield_surface in shape")
-    if not mu_signal > 0.0:
-        raise ParameterError(f"mu_signal must be > 0, got {mu_signal!r}")
+    checked_matrix("yield_surface", yields, yields.shape)
+    checked_matrix("error_surface", errors, yields.shape)
+    if not (math.isfinite(mu_signal) and mu_signal > 0.0):
+        raise ParameterError(f"mu_signal must be finite and > 0, got {mu_signal!r}")
     row = np.asarray(poisson_pmf(mu_signal, np.arange(yields.shape[0])), dtype=float)
     weights = np.outer(row, row)
     gain = float((weights * yields).sum())

@@ -30,7 +30,7 @@ import warnings as _warnings
 
 import numpy as np
 
-from .decoy_types import DecoyResult, GainErrorMatrices
+from .decoy import DecoyResult, GainErrorMatrices
 from .optics import ParameterError
 from .session import (
     COUNT_COLUMNS,
@@ -74,11 +74,12 @@ def file_digest(path: str) -> str:
 
 
 def read_text(path: str) -> tuple[str, str]:
-    """A UTF-8 text file's contents and the SHA-256 hex digest of its bytes."""
+    """A UTF-8 text file's contents, without a leading byte-order mark, and the
+    SHA-256 hex digest of its bytes."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 

@@ -120,7 +120,8 @@ def test_module_entry_point_runs_without_warnings(tmp_path) -> None:
 
 
 # Runs the package entry point on its arguments (or, given none, imports the
-# package), then prints the exit code and every scipy module loaded.
+# package, its bounding module and a bounding function), then prints the exit
+# code and every scipy module loaded.
 STARTUP_PROBE = """
 import json, runpy, sys
 code = 0
@@ -131,7 +132,8 @@ if len(sys.argv) > 1:
     except SystemExit as exc:
         code = exc.code
 else:
-    import mdiqkd
+    import mdiqkd.decoy
+    from mdiqkd import analyze_matrices
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
 """
 

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mdiqkd.bsa import DetectorModel
-import mdiqkd.decoy
 from mdiqkd.decoy import (
     DEFAULT_F_EC,
     DEFAULT_TRUNCATION,
@@ -353,6 +353,17 @@ def test_global_gain_qber_constant_surfaces() -> None:
         global_gain_qber(np.zeros((3, 3)), np.zeros((4, 4)), 0.5)
     with pytest.raises(ParameterError):
         global_gain_qber(np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
+    # Yields and error fractions are probabilities, and the intensity is finite.
+    ones = np.ones((3, 3))
+    with pytest.raises(ParameterError, match="yield_surface entries must be finite"):
+        global_gain_qber(np.full((3, 3), np.nan), 0.1 * ones, 0.5)
+    with pytest.raises(ParameterError, match="yield_surface entries must be finite"):
+        global_gain_qber(5.0 * ones, -3.0 * ones, 0.5)
+    with pytest.raises(ParameterError, match="error_surface entries must be finite"):
+        global_gain_qber(0.1 * ones, -3.0 * ones, 0.5)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="mu_signal must be finite"):
+            global_gain_qber(0.1 * ones, 0.1 * ones, mu)
 
 
 def synthetic_tables() -> CountTables:
@@ -529,13 +540,13 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
     # The rectilinear yield, the diagonal yield and the error ratio are the
     # blocks of one linear program, solved once.
     calls = []
-    real_linprog = mdiqkd.decoy.linprog
+    real_linprog = scipy.optimize.linprog
 
     def counting_linprog(*args, **kwargs):
         calls.append(1)
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(mdiqkd.decoy, "linprog", counting_linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
     gains = geometric_gains(1e-3)
     errors = np.full((3, 3), 0.03)
     analyze_matrices(
@@ -550,13 +561,13 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
 def test_analyze_matrices_checks_f_ec_before_solving(monkeypatch) -> None:
     # A bad rate factor is refused before the first linear program.
     calls = []
-    real_linprog = mdiqkd.decoy.linprog
+    real_linprog = scipy.optimize.linprog
 
     def counting_linprog(*args, **kwargs):
         calls.append(1)
         return real_linprog(*args, **kwargs)
 
-    monkeypatch.setattr(mdiqkd.decoy, "linprog", counting_linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
     gains = geometric_gains(1e-3)
     errors = np.full((3, 3), 0.03)
     matrices = GainErrorMatrices(

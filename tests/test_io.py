@@ -1,6 +1,8 @@
 """Text formats: round trips, version gates, strictness, config parsing."""
 
+import codecs
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -22,10 +24,12 @@ from mdiqkd.io_formats import (
     format_report,
     load_counts,
     load_gains,
+    load_session_config,
     parse_counts,
     parse_gains,
     parse_hom_config,
     parse_session_config,
+    read_text,
     save_counts,
     save_gains,
     save_report,
@@ -219,6 +223,36 @@ def test_gains_round_trip(tmp_path) -> None:
     save_gains(matrices, path)
     loaded = load_gains(path)
     assert np.array_equal(loaded.q_diag, matrices.q_diag)
+
+
+def test_byte_order_mark_is_not_content(tmp_path) -> None:
+    # Some editors start UTF-8 files with a byte-order mark: it must not
+    # become part of the first config key or of the format line, and the
+    # digest still covers the raw bytes.
+    config = tmp_path / "session.cfg"
+    config.write_bytes(codecs.BOM_UTF8 + b"pulses = 1000\n")
+    assert load_session_config(str(config), strict=True).pulses == 1000
+
+    paths = {}
+    for name, text in (
+        ("counts", format_counts(small_tables())),
+        ("gains", format_gains(geometric_matrices())),
+    ):
+        plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}-bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        paths[name] = str(plain), str(marked)
+        assert read_text(str(marked)) == (
+            text, hashlib.sha256(marked.read_bytes()).hexdigest()
+        )
+        assert read_text(str(marked))[1] == file_digest(str(marked)) != file_digest(str(plain))
+
+    plain, marked = paths["counts"]
+    assert load_counts(marked, strict=True) == load_counts(plain, strict=True)
+    plain, marked = (load_gains(path, strict=True) for path in paths["gains"])
+    assert marked.mus == plain.mus
+    for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
+        assert np.array_equal(getattr(marked, name), getattr(plain, name))
 
 
 def test_gains_duplicate_and_missing_pairs() -> None:
