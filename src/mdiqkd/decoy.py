@@ -6,8 +6,12 @@ joint numbers (m, n) with m, n <= truncation and brackets each measured gain:
 
     Q_ij - T_ij <= sum_{m,n} P_m(mu_i) P_n(mu_j) Y^{mn} <= Q_ij
 
-where T_ij is the Poisson mass outside the truncation box (all yields lie in
-[0, 1], so the discarded terms contribute between 0 and T_ij).  Error-weighted
+where the sum runs over the cells the program keeps and T_ij is the Poisson
+mass of pair (i, j) that it leaves out: the cells outside the truncation box,
+and every weight at most 1e-9 once the bracket is divided by its measured value
+(the solver ignores matrix entries that small).  All yields lie in [0, 1], so
+the discarded terms contribute between 0 and T_ij.  A cell with no weight left
+in any bracket of a program is not one of its variables.  Error-weighted
 yields (YE)^{mn} = Y^{mn} e^{mn} obey the same brackets against Q_ij E_ij and
 are coupled by 0 <= (YE)^{mn} <= Y^{mn} <= 1.  The single-photon yield bound
 minimizes Y^{11} over the rectilinear brackets.  The single-photon error bound
@@ -21,7 +25,8 @@ block and the column indices and values of its inequality rows, two entries
 each.
 
 Only the optimal values of the programs are contractual; the reported yield
-surfaces are one optimal vertex and may differ between solver versions.
+surfaces are one optimal vertex, with the cells a program leaves out at the
+cap 1, and may differ between solver versions.
 
 Importing this module loads numpy only: scipy is imported by _linprog, the one
 function that calls the solver, when a bound is first solved.
@@ -40,7 +45,9 @@ from .session import COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
 # Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
-# typical intensities, and the programs grow as (T + 1)^2 variables.
+# typical intensities, and so do the programs (at signal intensity 0.5, at most
+# 174 cells per surface, none past T = 15): every cell further out weighs too
+# little for the solver to see, so its mass joins the bracket widths.
 MAX_TRUNCATION = 50
 DEFAULT_F_EC = 1.164
 
@@ -111,9 +118,10 @@ class GainErrorMatrices:
 class YieldSolution:
     """Optimal-vertex yield surfaces from the bounding programs.
 
-    Shapes are (truncation + 1, truncation + 1).  ye_diag holds the
-    error-weighted yields of the diagonal-basis program.  The surfaces are
-    diagnostic only; bounds are the contractual outputs.
+    Shapes are (truncation + 1, truncation + 1); cells a program leaves out
+    read 1, the cap.  ye_diag holds the error-weighted yields of the
+    diagonal-basis program.  The surfaces are diagnostic only; bounds are the
+    contractual outputs.
     """
 
     y_rect: np.ndarray
@@ -142,6 +150,9 @@ class DecoyResult:
 
 _SLACK_TOL = 1e-9
 _DENOM_FLOOR = 1e-15
+# HiGHS's default small_matrix_value: it ignores matrix entries this small, so
+# the bracket programs move them into the bracket widths instead.
+_SMALL = 1e-9
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 # Bracket k of a program: the gains Q, then the error-weighted gains QE, pair (i, j).
 _BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in range(3)]
@@ -203,14 +214,17 @@ class _Program(NamedTuple):
     """Minimize c @ x, a_eq @ x = b_eq, a_ub @ x <= 0, bounds[:, 0] <= x <= bounds[:, 1].
 
     a_eq is dense (at most 19 rows).  Row k of a_ub holds ub_vals[k] at the
-    columns ub_cols[k], two entries per row (up to 2 (T + 1)^2 + 18 rows).
-    The other fields tell _diagnose what to check when there is no solution.
+    columns ub_cols[k], two entries per row (up to 2 len(cells) + 18 rows).
+    cells holds the flat indices m (T + 1) + n of the surface entries the
+    program keeps, in order; each surface of x takes len(cells) columns.  The
+    other fields tell _diagnose what to check when there is no solution.
     """
 
     c: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
     bounds: np.ndarray
+    cells: np.ndarray
     ub_cols: np.ndarray = np.empty((0, 2), dtype=int)
     ub_vals: np.ndarray = np.empty((0, 2))
     scale: np.ndarray | None = None
@@ -240,22 +254,37 @@ def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndar
     an equality with its own slack bounded by the bracket width, which avoids
     near-duplicate inequality rows when the width is tiny, and is divided by
     its measured value: the raw gains sit far below the solver's absolute
-    tolerances.
+    tolerances.  A divided weight of at most _SMALL joins T_ij in the width,
+    and a cell with no weight left in any bracket is dropped; (1, 1) stays.
     """
+    width, k = rows.shape[1], len(matrices)
     hi = np.concatenate([values.ravel() for values in matrices])
     scale = 1.0 / np.maximum(hi, 1e-9)
-    a = scale[:, None] * np.kron(np.eye(len(matrices)), np.kron(rows, rows))
+    # a[b, s, cell]: bracket b's weight on the cell of the s-th surface.
+    a = (scale[:, None] * np.kron(np.eye(k), np.kron(rows, rows))).reshape(len(hi), k, -1)
+    small = a <= _SMALL
+    widths = np.tile(tails.ravel(), k) * scale + (a * small).sum(axis=(1, 2))
+    a[small] = 0.0
+    kept = a.any(axis=(0, 1))
+    kept[width + 1] = True
+    cells = np.flatnonzero(kept)
+    a = a[:, :, cells].reshape(len(hi), -1)
     n_brackets, n_vars = a.shape
-    widths = np.tile(tails.ravel(), len(matrices)) * scale
     c = np.zeros(n_vars + n_brackets)
-    c[rows.shape[1] + 1] = 1.0
+    c[_y11_column(cells, width)] = 1.0
     return _Program(
         c=c,
         a_eq=np.hstack([a, np.eye(n_brackets)]),
         b_eq=hi * scale,
         bounds=np.column_stack([np.zeros(len(c)), np.append(np.ones(n_vars), widths)]),
+        cells=cells,
         scale=scale,
     )
+
+
+def _y11_column(cells: np.ndarray, width: int) -> int:
+    """Column of Y^{11} in a surface over the kept cells."""
+    return int(np.searchsorted(cells, width + 1))
 
 
 def _error_programs(
@@ -273,9 +302,9 @@ def _error_programs(
     Inconsistent brackets, or Y^{11} = 0 on the whole polytope, leave it
     without a solution; plain's diagnosis tells which.
     """
-    width = rows.shape[1]
-    n_half = width * width
     plain = _bracket_program(rows, tails, [gains, gains * qbers])
+    n_half = len(plain.cells)
+    y11 = _y11_column(plain.cells, rows.shape[1])
     n_cols = len(plain.c)
     capped = np.r_[:n_half, 2 * n_half : n_cols]
     upper = plain.bounds[capped, 1]
@@ -286,15 +315,16 @@ def _error_programs(
     vals = np.r_[np.tile([-1.0, 1.0], (n_half, 1)), np.c_[np.ones(len(capped)), -upper]]
     plain = plain._replace(ub_cols=cols[:n_half], ub_vals=vals[:n_half])
     c = np.zeros(n_cols + 1)
-    c[n_half + width + 1] = -1.0
+    c[n_half + y11] = -1.0
     sigma = float(gains.max()) or 1.0  # all-zero gains: degenerate, refused later
     ratio = _Program(
         c=c,
         a_eq=np.block(
-            [[np.eye(1, n_cols, width + 1) / sigma, 0.0], [plain.a_eq, -plain.b_eq[:, None]]]
+            [[np.eye(1, n_cols, y11) / sigma, 0.0], [plain.a_eq, -plain.b_eq[:, None]]]
         ),
         b_eq=np.eye(1, len(plain.b_eq) + 1)[0],
         bounds=np.repeat([[0.0, np.inf]], len(c), axis=0),
+        cells=plain.cells,
         ub_cols=cols,
         ub_vals=vals,
         plain=plain,
@@ -389,19 +419,31 @@ def _diagnose(program: _Program) -> None:
         _checked_denominator(float(program.c @ res.x))
 
 
-def _yield_bound(x: np.ndarray, width: int) -> YieldBound:
-    return YieldBound(value=float(x[width + 1]), surface=x[: width * width].reshape(width, width))
+def _surface(values: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
+    """The (width, width) surface holding values on the kept cells and the cap 1 elsewhere."""
+    surface = np.ones(width * width)
+    surface[cells] = values[: len(cells)]
+    return surface.reshape(width, width)
 
 
-def _error_bound(y_x: np.ndarray, ratio_x: np.ndarray, width: int) -> ErrorBound:
-    y11 = _checked_denominator(float(y_x[width + 1]))
-    n_half = width * width
+def _yield_bound(x: np.ndarray, program: _Program, width: int) -> YieldBound:
+    surface = _surface(x, program.cells, width)
+    return YieldBound(value=float(surface[1, 1]), surface=surface)
+
+
+def _error_bound(
+    y_x: np.ndarray, ratio_x: np.ndarray, programs: list[_Program], width: int
+) -> ErrorBound:
+    y_program, ratio = programs
+    y11 = _checked_denominator(float(y_program.c @ y_x))
+    n_half = len(ratio.cells)
+    z11 = _y11_column(ratio.cells, width)
     z = ratio_x[: 2 * n_half] / ratio_x[-1]
     return ErrorBound(
-        value=min(0.5, max(0.0, float(ratio_x[n_half + width + 1] / ratio_x[width + 1]))),
+        value=min(0.5, max(0.0, float(ratio_x[n_half + z11] / ratio_x[z11]))),
         y11_diag_lower=y11,
-        y_surface=z[:n_half].reshape(width, width),
-        ye_surface=z[n_half:].reshape(width, width),
+        y_surface=_surface(z, ratio.cells, width),
+        ye_surface=_surface(z[n_half:], ratio.cells, width),
     )
 
 
@@ -420,8 +462,9 @@ def lp_bound_yield(
     """
     gains = checked_matrix("gains", gains)
     rows, tails = _poisson_rows(mus, truncation)
-    (x,) = _solve([_bracket_program(rows, tails, [gains])])
-    return _yield_bound(x, rows.shape[1])
+    program = _bracket_program(rows, tails, [gains])
+    (x,) = _solve([program])
+    return _yield_bound(x, program, rows.shape[1])
 
 
 def lp_bound_error(
@@ -446,7 +489,8 @@ def lp_bound_error(
     gains = checked_matrix("gains", gains)
     qbers = checked_matrix("qbers", qbers)
     rows, tails = _poisson_rows(mus, truncation)
-    return _error_bound(*_solve(_error_programs(rows, tails, gains, qbers)), rows.shape[1])
+    programs = _error_programs(rows, tails, gains, qbers)
+    return _error_bound(*_solve(programs), programs, rows.shape[1])
 
 
 def global_gain_qber(
@@ -565,17 +609,15 @@ def analyze_matrices(
     rect = _bracket_program(rows, tails, [matrices.q_rect])
     diag = _error_programs(rows, tails, matrices.q_diag, matrices.e_diag)
     rect_x, *diag_x = _solve([rect, *diag])
-    rect_bound = _yield_bound(rect_x, width)
-    error_bound = _error_bound(*diag_x, width)
-    mu_signal = matrices.mus[0]
-    q11 = single_photon_gain(rect_bound.value, mu_signal)
+    rect_bound = _yield_bound(rect_x, rect, width)
+    error_bound = _error_bound(*diag_x, diag, width)
+    q11 = single_photon_gain(rect_bound.value, matrices.mus[0])
 
     e_rect_measured = float(matrices.e_rect[0, 0])
-    constant_error = np.full_like(rect_bound.surface, e_rect_measured)
-    q_trunc, _ = global_gain_qber(rect_bound.surface, constant_error, mu_signal)
-    # Yields outside the truncation box are taken at the cap, keeping the
-    # reconstruction conservative for the subtraction term.
-    q_rect_reconstructed = q_trunc + float(tails[0, 0])
+    # Yields outside the program (outside the truncation box, or on cells it
+    # leaves out) are taken at the cap, keeping the reconstruction
+    # conservative for the subtraction term.
+    q_rect_reconstructed = float(rows[0] @ rect_bound.surface @ rows[0] + tails[0, 0])
 
     rate = secret_key_rate(
         q11, error_bound.value, q_rect_reconstructed, e_rect_measured, f_ec

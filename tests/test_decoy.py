@@ -17,6 +17,8 @@ from mdiqkd.decoy import (
     GainErrorMatrices,
     InfeasibleModelError,
     InsufficientCountsError,
+    _bracket_program,
+    _poisson_rows,
     analyze,
     analyze_matrices,
     errors_from_counts,
@@ -80,6 +82,9 @@ FROZEN_E11_T10 = 0.09110894064980826
 # Binary entropy anchors computed with the decimal module at 40 digits.
 H2_REFERENCE_E11 = 0.13005884617909683
 H2_REFERENCE_E_RECT = 0.3154190889380807
+
+# HiGHS's default small_matrix_value: it ignores matrix entries this small.
+HIGHS_SMALL = 1e-9
 
 
 def reference_matrices() -> GainErrorMatrices:
@@ -155,11 +160,31 @@ def geometric_gains(y0: float, mus=REFERENCE_MUS) -> np.ndarray:
 def test_yield_bound_sound_and_tight_on_closed_family() -> None:
     for y0 in (1e-4, 1e-3, 1e-2):
         true_y11 = 1.0 - (1.0 - y0) ** 2
-        bound = lp_bound_yield(geometric_gains(y0), REFERENCE_MUS)
-        assert bound.value <= true_y11 + 1e-9
-        assert bound.value >= 0.90 * true_y11
-        assert bound.surface.shape == (DEFAULT_TRUNCATION + 1, DEFAULT_TRUNCATION + 1)
-        assert bound.surface[1, 1] == bound.value
+        for truncation in (DEFAULT_TRUNCATION, MAX_TRUNCATION):
+            bound = lp_bound_yield(geometric_gains(y0), REFERENCE_MUS, truncation)
+            assert bound.value <= true_y11 + 1e-9
+            assert bound.value >= 0.90 * true_y11
+            assert bound.surface.shape == (truncation + 1, truncation + 1)
+            assert bound.surface[1, 1] == bound.value
+        # A cell the program leaves out reads the cap.
+        assert bound.surface[-1, -1] == 1.0
+
+
+def test_true_surface_meets_the_brackets_the_solver_sees() -> None:
+    # With the entries the solver ignores zeroed, the true surface must still
+    # fit every bracket: a dropped weight has to widen its bracket, not vanish.
+    for truncation in (15, 30, MAX_TRUNCATION):
+        rows, tails = _poisson_rows(REFERENCE_MUS, truncation)
+        m, n = np.divmod(np.arange((truncation + 1) ** 2), truncation + 1)
+        for y0 in (1e-4, 1e-3, 1e-2):
+            program = _bracket_program(rows, tails, [geometric_gains(y0)])
+            n_brackets = len(program.b_eq)
+            a = program.a_eq[:, :-n_brackets].copy()
+            a[np.abs(a) <= HIGHS_SMALL] = 0.0
+            slack = program.b_eq - a @ (1.0 - (1.0 - y0) ** (m + n))[program.cells]
+            widths = program.bounds[-n_brackets:, 1]
+            assert np.all(slack >= -1e-12)
+            assert np.all(slack <= widths + 1e-12)
 
 
 def test_error_bound_sound_on_closed_family() -> None:
@@ -253,9 +278,9 @@ def test_tiny_diagonal_gains_give_one_bound() -> None:
 
 
 def test_analysis_at_the_truncation_ceiling() -> None:
-    # The inequality rows grow as (T + 1)^2 per row block; kept sparse, an
-    # analysis at the ceiling needs a few MiB, where dense rows would need
-    # hundreds.
+    # The programs keep only the cells whose weight the solver can see, so
+    # they stop growing near T = 15 and an analysis at the ceiling needs
+    # under 2 MiB.
     y0, e0 = 1e-3, 0.05
     gains = geometric_gains(y0)
     errors = np.full((3, 3), e0)
@@ -272,7 +297,7 @@ def test_analysis_at_the_truncation_ceiling() -> None:
     assert result.solution.y_rect.shape == (MAX_TRUNCATION + 1, MAX_TRUNCATION + 1)
     assert result.y11_lower <= 1.0 - (1.0 - y0) ** 2 + 1e-9
     assert result.e11_upper >= e0 - 1e-9
-    assert peak < 32 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_reference_rect_gains_are_infeasible() -> None:
@@ -538,24 +563,29 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
 
 def test_analyze_matrices_solve_count(monkeypatch) -> None:
     # The rectilinear yield, the diagonal yield and the error ratio are the
-    # blocks of one linear program, solved once.
+    # blocks of one linear program, solved once.  It holds no entry the
+    # solver would ignore, and no column past the cells the solver can see,
+    # so it is as large at truncation 30 as at the ceiling.
     calls = []
     real_linprog = scipy.optimize.linprog
 
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return real_linprog(*args, **kwargs)
+    def recording_linprog(c, **kwargs):
+        calls.append((len(c), np.abs(kwargs["A_eq"].data)))
+        return real_linprog(c, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
     gains = geometric_gains(1e-3)
     errors = np.full((3, 3), 0.03)
-    analyze_matrices(
-        GainErrorMatrices(
-            mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
-            e_rect=errors, e_diag=errors.copy(),
-        )
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=errors, e_diag=errors.copy(),
     )
-    assert len(calls) == 1
+    for count, truncation in enumerate((DEFAULT_TRUNCATION, 30, MAX_TRUNCATION), 1):
+        analyze_matrices(matrices, truncation=truncation)
+        assert len(calls) == count
+    for _, entries in calls:
+        assert not np.any((entries > 0.0) & (entries <= HIGHS_SMALL))
+    assert calls[1][0] == calls[2][0]
 
 
 def test_analyze_matrices_checks_f_ec_before_solving(monkeypatch) -> None:
