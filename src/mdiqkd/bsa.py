@@ -111,17 +111,6 @@ class BsaInput:
             raise ParameterError(f"overlap must lie in [0, 1], got {self.overlap!r}")
 
 
-def classify_outcome(index: int) -> BellOutcome:
-    """Map a click-pattern index (detector d as bit d-1) to its announced Bell outcome."""
-    if not 0 <= index < PATTERN_COUNT:
-        raise ParameterError(f"pattern index must lie in [0, 16), got {index!r}")
-    if index in PSI_PLUS_PATTERNS:
-        return BellOutcome.PSI_PLUS
-    if index in PSI_MINUS_PATTERNS:
-        return BellOutcome.PSI_MINUS
-    return BellOutcome.INCONCLUSIVE
-
-
 @dataclasses.dataclass(frozen=True)
 class BsaResponse:
     """Distribution over the 16 click patterns for one analyzer input."""

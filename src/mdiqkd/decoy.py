@@ -6,10 +6,11 @@ joint numbers (m, n) with m, n <= truncation and brackets each measured gain:
 
     Q_ij - T_ij <= sum_{m,n} P_m(mu_i) P_n(mu_j) Y^{mn} <= Q_ij
 
-where the sum runs over the cells the program keeps and T_ij is the Poisson
-mass of pair (i, j) that it leaves out: the cells outside the truncation box,
-and every weight at most 1e-9 once the bracket is divided by its measured value
-(the solver ignores matrix entries that small).  All yields lie in [0, 1], so
+where the sum runs over the cells the program keeps and T_ij covers the
+Poisson mass of pair (i, j) that it leaves out: the cells outside the truncation
+box, and every weight at most 1e-9 once the bracket is divided by its measured
+value (the solver ignores matrix entries that small, so a smaller positive
+divided width is raised just above it).  All yields lie in [0, 1], so
 the discarded terms contribute between 0 and T_ij.  A cell with no weight left
 in any bracket of a program is not one of its variables.  Error-weighted
 yields (YE)^{mn} = Y^{mn} e^{mn} obey the same brackets against Q_ij E_ij and
@@ -73,11 +74,11 @@ class InsufficientCountsError(ValueError):
     """A cell required by the analysis has no recorded pulses."""
 
 
-def checked_matrix(name: str, values, shape: tuple[int, ...] = (3, 3)) -> np.ndarray:
-    """values as a float array of this shape, refused unless every entry is in [0, 1]."""
+def checked_matrix(name: str, values) -> np.ndarray:
+    """values as a 3x3 float array, refused unless every entry is in [0, 1]."""
     matrix = np.asarray(values, dtype=float)
-    if matrix.shape != shape:
-        raise ParameterError(f"{name} must have shape {shape!r}, got {matrix.shape!r}")
+    if matrix.shape != (3, 3):
+        raise ParameterError(f"{name} must have shape (3, 3), got {matrix.shape!r}")
     if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
         raise ParameterError(f"{name} entries must be finite and lie in [0, 1]")
     return matrix
@@ -256,6 +257,8 @@ def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndar
     its measured value: the raw gains sit far below the solver's absolute
     tolerances.  A divided weight of at most _SMALL joins T_ij in the width,
     and a cell with no weight left in any bracket is dropped; (1, 1) stays.
+    The ratio program writes the widths as matrix entries, so a positive
+    width of at most _SMALL is raised just above it, which only widens.
     """
     width, k = rows.shape[1], len(matrices)
     hi = np.concatenate([values.ravel() for values in matrices])
@@ -264,6 +267,7 @@ def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndar
     a = (scale[:, None] * np.kron(np.eye(k), np.kron(rows, rows))).reshape(len(hi), k, -1)
     small = a <= _SMALL
     widths = np.tile(tails.ravel(), k) * scale + (a * small).sum(axis=(1, 2))
+    widths[(widths > 0.0) & (widths <= _SMALL)] = np.nextafter(_SMALL, 1.0)
     a[small] = 0.0
     kept = a.any(axis=(0, 1))
     kept[width + 1] = True
@@ -491,39 +495,6 @@ def lp_bound_error(
     rows, tails = _poisson_rows(mus, truncation)
     programs = _error_programs(rows, tails, gains, qbers)
     return _error_bound(*_solve(programs), programs, rows.shape[1])
-
-
-def global_gain_qber(
-    yield_surface: np.ndarray, error_surface: np.ndarray, mu_signal: float
-) -> tuple[float, float]:
-    """Reconstruct the signal-signal gain and error rate from yield surfaces.
-
-    Args:
-        yield_surface: (M+1, M+1) per-photon-number yields, entries in [0, 1].
-        error_surface: (M+1, M+1) per-photon-number error fractions, entries in [0, 1].
-        mu_signal: finite signal intensity > 0, applied on both sides.
-
-    Returns:
-        (gain, qber) of the truncated reconstruction; the Poisson mass outside
-        the truncation box is not included.
-    """
-    yields = np.asarray(yield_surface, dtype=float)
-    errors = np.asarray(error_surface, dtype=float)
-    if yields.ndim != 2 or yields.shape[0] != yields.shape[1]:
-        raise ParameterError(f"yield_surface must be square, got {yields.shape!r}")
-    if errors.shape != yields.shape:
-        raise ParameterError("error_surface must match yield_surface in shape")
-    checked_matrix("yield_surface", yields, yields.shape)
-    checked_matrix("error_surface", errors, yields.shape)
-    if not (math.isfinite(mu_signal) and mu_signal > 0.0):
-        raise ParameterError(f"mu_signal must be finite and > 0, got {mu_signal!r}")
-    row = np.asarray(poisson_pmf(mu_signal, np.arange(yields.shape[0])), dtype=float)
-    weights = np.outer(row, row)
-    gain = float((weights * yields).sum())
-    if gain <= 0.0:
-        return 0.0, 0.0
-    qber = float((weights * yields * errors).sum()) / gain
-    return gain, qber
 
 
 # Same-basis state codes of each basis, and the error columns of each of its

@@ -397,14 +397,13 @@ class ResultReport:
     result: DecoyResult
     input_sha256: str | None = None
     seed: int | None = None
-    tool_version: str = TOOL_VERSION
 
 
 def format_report(report: ResultReport) -> str:
     """Canonical text serialization of an analysis report."""
     result = report.result
     header = [
-        ("tool_version", report.tool_version),
+        ("tool_version", TOOL_VERSION),
         ("input_sha256", report.input_sha256 or "-"),
     ]
     if report.seed is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 
@@ -21,6 +22,15 @@ BASIS_RECT = "rect"
 BASIS_DIAG = "diag"
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# A class label the counts file format can carry: one token without "=" or
+# ":" that does not start a comment.
+_LABEL = re.compile(r"[^\s=:#][^\s=:]*")
+
+
+def is_label(label: object) -> bool:
+    """Whether label can name an intensity class in the text formats."""
+    return isinstance(label, str) and _LABEL.fullmatch(label) is not None
 
 
 class ParameterError(ValueError):
@@ -43,10 +53,6 @@ class PolarizationState:
                 f"polarization state must be normalized, got |amp|^2 = {norm!r}"
             )
 
-    def orthogonal(self) -> "PolarizationState":
-        """Return the state orthogonal to this one (up to global phase)."""
-        return PolarizationState(-self.amp_v.conjugate(), self.amp_h.conjugate())
-
 
 SOP_H = PolarizationState(1.0 + 0.0j, 0.0 + 0.0j)
 SOP_V = PolarizationState(0.0 + 0.0j, 1.0 + 0.0j)
@@ -58,15 +64,6 @@ SOP_MINUS = PolarizationState(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j)
 SOP_BY_CODE: tuple[PolarizationState, ...] = (SOP_H, SOP_V, SOP_PLUS, SOP_MINUS)
 SOP_LABELS: tuple[str, ...] = ("H", "V", "+45", "-45")
 BASIS_BY_CODE: tuple[str, ...] = (BASIS_RECT, BASIS_RECT, BASIS_DIAG, BASIS_DIAG)
-
-
-def sop_overlap(first: PolarizationState, second: PolarizationState) -> float:
-    """Return |<first|second>|^2, the projection probability between two states."""
-    inner = (
-        first.amp_h.conjugate() * second.amp_h
-        + first.amp_v.conjugate() * second.amp_v
-    )
-    return float(abs(inner) ** 2)
 
 
 def poisson_pmf(mu: float, n):
@@ -115,9 +112,10 @@ class IntensityClass:
     mu: float
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label):
+        if not is_label(self.label):
             raise ParameterError(
-                f"intensity label must be a non-empty token without whitespace, got {self.label!r}"
+                "intensity label must be a token without '=', ':' or a leading '#', "
+                f"got {self.label!r}"
             )
         if not math.isfinite(self.mu) or self.mu < 0.0:
             raise ParameterError(

@@ -40,6 +40,7 @@ from .optics import (
     IntensityClass,
     ParameterError,
     attenuate,
+    is_label,
     standard_classes,
     validate_classes,
 )
@@ -77,10 +78,6 @@ _SWEEP_CELLS = np.ravel_multi_index(
 _MISMATCHED = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=bool)
 _MISMATCHED[:, :, :2, 2:] = True
 _MISMATCHED[:, :, 2:, :2] = True
-
-# A class label the counts file format can carry: one token without "=" or
-# ":" that does not start a comment.
-_LABEL = re.compile(r"[^\s=:#][^\s=:]*")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -167,7 +164,7 @@ class CountTables:
     def __post_init__(self) -> None:
         labels = self.class_labels
         if len(labels) != N_CLASSES or len(set(labels)) != N_CLASSES or not all(
-            isinstance(label, str) and _LABEL.fullmatch(label) for label in labels
+            map(is_label, labels)
         ):
             raise ParameterError(
                 f"class_labels must be 3 distinct tokens without '=', ':' or a leading '#', "
@@ -215,10 +212,6 @@ class CountTables:
         return dataclasses.replace(
             self, pulses_sent=self.pulses_sent.copy(), counts=self.counts.copy()
         )
-
-    def conclusive_sum(self, ia: int, ib: int, sa: int, sb: int) -> int:
-        """C12 + C34 + C14 + C23 in a cell."""
-        return int(self.counts[ia, ib, sa, sb, :4].sum())
 
 
 def _outcome_law(config: SessionConfig) -> np.ndarray:
@@ -372,24 +365,17 @@ class HomScanResult:
         tau = self.delays_ns[order]
         vis = np.where(np.isfinite(self.visibility[order]), self.visibility[order], 0.0)
         peak = int(np.argmax(vis))
-        if vis[peak] <= threshold:
+        below = vis <= threshold
+        # The nearest at-or-below-threshold point on each side of the peak.
+        outer = np.concatenate(
+            (np.flatnonzero(below[:peak])[-1:], peak + 1 + np.flatnonzero(below[peak + 1 :])[:1])
+        )
+        if below[peak] or len(outer) < 2:
             return float("nan")
-
-        def cross(inner: int, outer: int) -> float:
-            v0, v1 = vis[inner], vis[outer]
-            return float(tau[inner] + (tau[outer] - tau[inner]) * (v0 - threshold) / (v0 - v1))
-
-        left = float("nan")
-        for k in range(peak, 0, -1):
-            if vis[k - 1] <= threshold:
-                left = cross(k, k - 1)
-                break
-        right = float("nan")
-        for k in range(peak, len(vis) - 1):
-            if vis[k + 1] <= threshold:
-                right = cross(k, k + 1)
-                break
-        return right - left
+        inner = outer + [1, -1]
+        v0, v1 = vis[inner], vis[outer]
+        left, right = tau[inner] + (tau[outer] - tau[inner]) * (v0 - threshold) / (v0 - v1)
+        return float(right - left)
 
 
 def hom_scan(config: HomScanConfig) -> HomScanResult:

@@ -21,7 +21,6 @@ from mdiqkd.bsa import (
     _detector_amplitudes,
     _i0e,
     _pattern_table,
-    classify_outcome,
     coherent_click_probs,
     fock_bsa_oracle,
 )
@@ -105,13 +104,19 @@ def test_one_sided_diag_pair_feeds_the_conclusive_classes() -> None:
     )
 
 
-def test_classify_outcome_pattern_map() -> None:
-    for index in PSI_PLUS_PATTERNS:
-        assert classify_outcome(index) is BellOutcome.PSI_PLUS
-    for index in PSI_MINUS_PATTERNS:
-        assert classify_outcome(index) is BellOutcome.PSI_MINUS
-    for index in (0, 1, 5, 10, 15):
-        assert classify_outcome(index) is BellOutcome.INCONCLUSIVE
+def test_outcome_pattern_map() -> None:
+    # Detector d fires as bit d - 1.  Exactly {1, 2} or {3, 4} announces psi+,
+    # exactly {1, 4} or {2, 3} announces psi-, and every other pattern, no
+    # click included, is inconclusive.
+    def pattern(*detectors: int) -> int:
+        return sum(1 << (d - 1) for d in detectors)
+
+    assert PSI_PLUS_PATTERNS == (pattern(1, 2), pattern(3, 4))
+    assert PSI_MINUS_PATTERNS == (pattern(1, 4), pattern(2, 3))
+    for index in range(16):
+        response = BsaResponse(np.eye(16)[index])
+        assert response.psi_plus_prob == (index in PSI_PLUS_PATTERNS)
+        assert response.psi_minus_prob == (index in PSI_MINUS_PATTERNS)
 
 
 def test_fock_oracle_validation() -> None:

@@ -23,7 +23,6 @@ from mdiqkd.decoy import (
     analyze_matrices,
     errors_from_counts,
     gains_from_counts,
-    global_gain_qber,
     lp_bound_error,
     lp_bound_yield,
     matrices_from_counts,
@@ -364,33 +363,6 @@ def test_truncation_tightens_both_bounds() -> None:
     assert e10 <= e7
 
 
-def test_global_gain_qber_constant_surfaces() -> None:
-    width = 8
-    y, e, mu = 1e-3, 0.12, 0.5
-    gain, qber = global_gain_qber(np.full((width, width), y), np.full((width, width), e), mu)
-    mass = float(np.sum(poisson_pmf(mu, np.arange(width))))
-    assert gain == pytest.approx(y * mass * mass, rel=1e-12)
-    assert qber == pytest.approx(e, rel=1e-12)
-    assert global_gain_qber(np.zeros((3, 3)), np.zeros((3, 3)), 0.5) == (0.0, 0.0)
-    with pytest.raises(ParameterError):
-        global_gain_qber(np.zeros((3, 4)), np.zeros((3, 4)), 0.5)
-    with pytest.raises(ParameterError):
-        global_gain_qber(np.zeros((3, 3)), np.zeros((4, 4)), 0.5)
-    with pytest.raises(ParameterError):
-        global_gain_qber(np.zeros((3, 3)), np.zeros((3, 3)), 0.0)
-    # Yields and error fractions are probabilities, and the intensity is finite.
-    ones = np.ones((3, 3))
-    with pytest.raises(ParameterError, match="yield_surface entries must be finite"):
-        global_gain_qber(np.full((3, 3), np.nan), 0.1 * ones, 0.5)
-    with pytest.raises(ParameterError, match="yield_surface entries must be finite"):
-        global_gain_qber(5.0 * ones, -3.0 * ones, 0.5)
-    with pytest.raises(ParameterError, match="error_surface entries must be finite"):
-        global_gain_qber(0.1 * ones, -3.0 * ones, 0.5)
-    for mu in (math.nan, math.inf):
-        with pytest.raises(ParameterError, match="mu_signal must be finite"):
-            global_gain_qber(0.1 * ones, 0.1 * ones, mu)
-
-
 def synthetic_tables() -> CountTables:
     pulses_sent = np.zeros((3, 3, 4, 4), dtype=np.int64)
     counts = np.zeros((3, 3, 4, 4, 7), dtype=np.int64)
@@ -551,6 +523,10 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
     assert result.q_rect_measured == pytest.approx(gains[0, 0], rel=1e-12)
     # Reconstruction caps the out-of-box tail, so it dominates the truth.
     assert result.q_rect_reconstructed >= result.q_rect_measured - 1e-12
+    row = poisson_pmf(0.5, np.arange(DEFAULT_TRUNCATION + 1))
+    assert result.q_rect_reconstructed == pytest.approx(
+        row @ result.solution.y_rect @ row + 1.0 - row.sum() ** 2, rel=1e-12
+    )
     assert result.e_rect_global == e0
     assert result.rate == pytest.approx(
         secret_key_rate(
@@ -564,13 +540,15 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
 def test_analyze_matrices_solve_count(monkeypatch) -> None:
     # The rectilinear yield, the diagonal yield and the error ratio are the
     # blocks of one linear program, solved once.  It holds no entry the
-    # solver would ignore, and no column past the cells the solver can see,
-    # so it is as large at truncation 30 as at the ceiling.
+    # solver would ignore, in the equality or the inequality rows, and no
+    # column past the cells the solver can see, so it is as large at
+    # truncation 30 as at the ceiling.
     calls = []
     real_linprog = scipy.optimize.linprog
 
     def recording_linprog(c, **kwargs):
-        calls.append((len(c), np.abs(kwargs["A_eq"].data)))
+        entries = np.abs(np.concatenate([kwargs["A_eq"].data, kwargs["A_ub"].data]))
+        calls.append((len(c), entries))
         return real_linprog(c, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
@@ -586,6 +564,42 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
     for _, entries in calls:
         assert not np.any((entries > 0.0) & (entries <= HIGHS_SMALL))
     assert calls[1][0] == calls[2][0]
+
+
+def asymmetric_matrices() -> GainErrorMatrices:
+    # Yields 1 - (1 - a)^m (1 - b)^n and error-weighted yields c (1 - (1 -
+    # a')^m (1 - b')^n) with a' <= a, b' <= b, c <= 1: closed-form gains,
+    # feasible at any truncation, and different for the two senders.
+    mus = np.array(REFERENCE_MUS)
+
+    def gains(a: float, b: float) -> np.ndarray:
+        return 1.0 - np.exp(-a * mus[:, None] - b * mus[None, :])
+
+    q = gains(2e-3, 5e-4)
+    e = np.divide(0.1 * gains(1e-3, 2e-4), q, out=np.full((3, 3), 0.5), where=q > 0.0)
+    return GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=q, q_diag=q.copy(), e_rect=e, e_diag=e.copy()
+    )
+
+
+def test_swapping_the_senders_changes_no_bound() -> None:
+    # Transposing every matrix swaps Alice and Bob, which must leave both
+    # bounds as they are.  The inputs differ between the senders, so the check
+    # is not vacuous.
+    matrices = asymmetric_matrices()
+    names = ("q_rect", "q_diag", "e_rect", "e_diag")
+    swapped = GainErrorMatrices(matrices.mus, *(getattr(matrices, n).T for n in names))
+    for name in names:
+        assert not np.allclose(getattr(matrices, name), getattr(swapped, name), rtol=1e-3)
+    true_y11 = 1.0 - (1.0 - 2e-3) * (1.0 - 5e-4)
+    true_e11 = 0.1 * (1.0 - (1.0 - 1e-3) * (1.0 - 2e-4)) / true_y11
+    for truncation in (DEFAULT_TRUNCATION, 30):
+        result = analyze_matrices(matrices, truncation=truncation)
+        mirror = analyze_matrices(swapped, truncation=truncation)
+        assert result.y11_lower <= true_y11
+        assert result.e11_upper >= true_e11
+        assert mirror.y11_lower == pytest.approx(result.y11_lower, rel=1e-9)
+        assert mirror.e11_upper == pytest.approx(result.e11_upper, rel=1e-9)
 
 
 def test_analyze_matrices_checks_f_ec_before_solving(monkeypatch) -> None:

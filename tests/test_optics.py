@@ -19,7 +19,6 @@ from mdiqkd.optics import (
     SOP_V,
     attenuate,
     poisson_pmf,
-    sop_overlap,
     standard_classes,
     validate_classes,
 )
@@ -42,20 +41,27 @@ def test_unnormalized_state_rejected() -> None:
         PolarizationState(float("nan") + 0.0j, 0.0 + 0.0j)
 
 
+def overlap(first: PolarizationState, second: PolarizationState) -> float:
+    """|<first|second>|^2, the projection probability between two states."""
+    return abs(np.vdot([first.amp_h, first.amp_v], [second.amp_h, second.amp_v])) ** 2
+
+
 def test_overlap_within_and_across_bases() -> None:
-    assert sop_overlap(SOP_H, SOP_H) == pytest.approx(1.0, abs=EXACT_TOL)
-    assert sop_overlap(SOP_H, SOP_V) == pytest.approx(0.0, abs=EXACT_TOL)
-    assert sop_overlap(SOP_PLUS, SOP_MINUS) == pytest.approx(0.0, abs=EXACT_TOL)
+    assert overlap(SOP_H, SOP_H) == pytest.approx(1.0, abs=EXACT_TOL)
+    assert overlap(SOP_H, SOP_V) == pytest.approx(0.0, abs=EXACT_TOL)
+    assert overlap(SOP_PLUS, SOP_MINUS) == pytest.approx(0.0, abs=EXACT_TOL)
     for rect in (SOP_H, SOP_V):
         for diag in (SOP_PLUS, SOP_MINUS):
-            assert sop_overlap(rect, diag) == pytest.approx(0.5, abs=EXACT_TOL)
+            assert overlap(rect, diag) == pytest.approx(0.5, abs=EXACT_TOL)
 
 
-def test_orthogonal_flip_is_involutive_in_probability() -> None:
-    for sop in SOP_BY_CODE:
-        flipped = sop.orthogonal()
-        assert sop_overlap(sop, flipped) == pytest.approx(0.0, abs=EXACT_TOL)
-        assert sop_overlap(sop, flipped.orthogonal()) == pytest.approx(1.0, abs=EXACT_TOL)
+def test_code_flip_is_orthogonal() -> None:
+    # The session models misalignment as the flip code ^ 1: it must turn each
+    # state into its orthogonal partner in the same basis.
+    for code, sop in enumerate(SOP_BY_CODE):
+        flipped = code ^ 1
+        assert overlap(sop, SOP_BY_CODE[flipped]) == pytest.approx(0.0, abs=EXACT_TOL)
+        assert BASIS_BY_CODE[flipped] == BASIS_BY_CODE[code]
 
 
 def test_poisson_pmf_against_direct_series() -> None:
@@ -97,8 +103,11 @@ def test_standard_classes_contract() -> None:
         validate_classes(
             (IntensityClass("a", 0.5), IntensityClass("b", 0.1), IntensityClass("c", 0.01))
         )
-    with pytest.raises(ParameterError):
-        IntensityClass("two words", 0.5)
+    # A label must be a token the counts file can carry.
+    for label in ("", "two words", "s=1", "a:b", "#x", None):
+        with pytest.raises(ParameterError, match="intensity label"):
+            IntensityClass(label, 0.5)
+    assert IntensityClass("s-1#", 0.5).label == "s-1#"
     with pytest.raises(ParameterError):
         IntensityClass("signal", -0.5)
 
