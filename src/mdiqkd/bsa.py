@@ -7,7 +7,7 @@ Detectors are numbered 1..4 as (port1, H), (port1, V), (port2, H), (port2, V).
 Outcome rule over the 16 click patterns:
   * exactly detectors {1, 2} or exactly {3, 4} fire: PSI_PLUS
   * exactly detectors {1, 4} or exactly {2, 3} fire: PSI_MINUS
-  * every other pattern, including no clicks: INCONCLUSIVE
+  * every other pattern, including no clicks, is not counted
 
 Temporal-mode model: each source occupies a common mode with amplitude weight
 sqrt(overlap) plus its own leftover mode with weight sqrt(1 - overlap).  In the
@@ -60,7 +60,6 @@ class UnsupportedSizeError(ValueError):
 class BellOutcome(enum.Enum):
     PSI_PLUS = "psi_plus"
     PSI_MINUS = "psi_minus"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

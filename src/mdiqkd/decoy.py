@@ -20,10 +20,10 @@ maximizes the ratio (YE)^{11} / Y^{11} jointly over the diagonal-basis (Y, YE)
 polytope, posed as one linear program by the Charnes-Cooper transform
 (Charnes & Cooper, Naval Res. Logist. Q. 9, 181 (1962)); the diagonal-basis
 Y^{11} lower bound certifies that the ratio is well defined.  The programs
-share no variables, so one linprog call solves them all as the blocks of one
-block-diagonal program.  Each program is plain numpy arrays: a dense equality
-block and the column indices and values of its inequality rows, two entries
-each.
+share no variables, so one linprog call, without presolve, solves them all as
+the blocks of one block-diagonal program.  Each program is plain numpy arrays:
+a dense equality block and the column indices and values of its inequality
+rows, two entries each; the stack goes to the solver as COO triplets.
 
 Only the optimal values of the programs are contractual; the reported yield
 surfaces are one optimal vertex, with the cells a program leaves out at the
@@ -154,7 +154,12 @@ _DENOM_FLOOR = 1e-15
 # HiGHS's default small_matrix_value: it ignores matrix entries this small, so
 # the bracket programs move them into the bracket widths instead.
 _SMALL = 1e-9
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Presolve costs more than it saves on programs of a few hundred columns.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "presolve": False,
+}
 # Bracket k of a program: the gains Q, then the error-weighted gains QE, pair (i, j).
 _BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in range(3)]
 
@@ -336,27 +341,28 @@ def _error_programs(
     return [_bracket_program(rows, tails, [gains])._replace(denominator=True), ratio]
 
 
-def _linprog(programs: list[_Program], **options):
-    """One linprog call on the programs stacked as one block-diagonal LP."""
+def _linprog(programs: list[_Program]):
+    """One linprog call on the programs stacked as one block-diagonal LP, in COO triplets."""
     from scipy import sparse
-    from scipy.linalg import block_diag
     from scipy.optimize import linprog
 
-    widths = [len(p.c) for p in programs]
-    cols = np.concatenate([p.ub_cols + at for p, at in zip(programs, np.cumsum(widths) - widths)])
-    vals = np.concatenate([p.ub_vals for p in programs])
-    a_ub = sparse.csr_array(
-        (vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, 2)), shape=(len(cols), sum(widths))
-    )
+    at = np.cumsum([0] + [len(p.c) for p in programs])
+    down = np.cumsum([0] + [len(p.b_eq) for p in programs])
+    nz = [np.nonzero(p.a_eq) for p in programs]
+    ij = np.hstack([np.add(k, [[d], [a]]) for k, d, a in zip(nz, down, at)])
+    data = np.concatenate([p.a_eq[k] for p, k in zip(programs, nz)])
+    cols = np.concatenate([p.ub_cols + a for p, a in zip(programs, at)])
+    vals = np.concatenate([p.ub_vals for p in programs]).ravel()
+    rows = np.repeat(np.arange(len(cols)), 2)
     return linprog(
         np.concatenate([p.c for p in programs]),
-        A_ub=a_ub,
+        A_ub=sparse.coo_array((vals, (rows, cols.ravel())), shape=(len(cols), at[-1])),
         b_ub=np.zeros(len(cols)),
-        A_eq=sparse.csr_array(block_diag(*[p.a_eq for p in programs])),
+        A_eq=sparse.coo_array((data, ij), shape=(down[-1], at[-1])),
         b_eq=np.concatenate([p.b_eq for p in programs]),
         bounds=np.concatenate([p.bounds for p in programs]),
         method="highs",
-        options={**_HIGHS_OPTIONS, **options},
+        options=_HIGHS_OPTIONS,
     )
 
 
@@ -368,15 +374,13 @@ def _solve(programs: list[_Program]) -> list[np.ndarray]:
     are stacked last first, so the ratio program, passed last, takes the
     first columns (stacked last, it moved e11 by up to 4.8e-7 relative at
     truncation 30).  Without a solution the programs are diagnosed in the
-    order given, and if none raises the solve is retried without presolve.
+    order given; if none raises, the solver's failure is raised.
     """
     stack = programs[::-1]
     res = _linprog(stack)
     if res.status != 0:
         for program in programs:
             _diagnose(program if program.plain is None else program.plain)
-        res = _linprog(stack, presolve=False)
-    if res.status != 0:
         raise RuntimeError(f"linear program failed: {res.message}")
     return np.split(res.x, np.cumsum([len(p.c) for p in stack[:-1]]))[::-1]
 
@@ -442,6 +446,8 @@ def _error_bound(
     y11 = _checked_denominator(float(y_program.c @ y_x))
     n_half = len(ratio.cells)
     z11 = _y11_column(ratio.cells, width)
+    if ratio_x[-1] <= 0.0:
+        raise DegenerateBoundError("error ratio vertex has t = 0: gains below the solver tolerance")
     z = ratio_x[: 2 * n_half] / ratio_x[-1]
     return ErrorBound(
         value=min(0.5, max(0.0, float(ratio_x[n_half + z11] / ratio_x[z11]))),

@@ -18,7 +18,10 @@ from mdiqkd.decoy import (
     InfeasibleModelError,
     InsufficientCountsError,
     _bracket_program,
+    _error_bound,
+    _error_programs,
     _poisson_rows,
+    _solve,
     analyze,
     analyze_matrices,
     errors_from_counts,
@@ -257,6 +260,18 @@ def test_degenerate_bound_on_vanishing_gains() -> None:
     # solves, and the zero Y11 lower bound is refused.
     with pytest.raises(DegenerateBoundError):
         lp_bound_error(1e-9 * geometric_gains(1e-3), np.full((3, 3), 0.05), REFERENCE_MUS)
+
+
+def test_error_bound_refuses_a_ratio_vertex_with_t_zero() -> None:
+    # When the largest diagonal gain sits below the solver's primal tolerance,
+    # the ratio program may stop at t = 0, where z / t has no value.  Such a
+    # vertex is refused, not divided into non-finite surfaces.
+    rows, tails = _poisson_rows(REFERENCE_MUS, DEFAULT_TRUNCATION)
+    programs = _error_programs(rows, tails, geometric_gains(1e-3), np.full((3, 3), 0.05))
+    y_x, ratio_x = _solve(programs)
+    ratio_x[-1] = 0.0
+    with pytest.raises(DegenerateBoundError, match="t = 0"):
+        _error_bound(y_x, ratio_x, programs, rows.shape[1])
 
 
 def test_tiny_diagonal_gains_give_one_bound() -> None:
@@ -548,7 +563,7 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
 
     def recording_linprog(c, **kwargs):
         entries = np.abs(np.concatenate([kwargs["A_eq"].data, kwargs["A_ub"].data]))
-        calls.append((len(c), entries))
+        calls.append((len(c), entries, kwargs["options"]))
         return real_linprog(c, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
@@ -561,9 +576,39 @@ def test_analyze_matrices_solve_count(monkeypatch) -> None:
     for count, truncation in enumerate((DEFAULT_TRUNCATION, 30, MAX_TRUNCATION), 1):
         analyze_matrices(matrices, truncation=truncation)
         assert len(calls) == count
-    for _, entries in calls:
+    for _, entries, options in calls:
         assert not np.any((entries > 0.0) & (entries <= HIGHS_SMALL))
+        # Presolve costs more than it saves on programs this small.
+        assert options["presolve"] is False
     assert calls[1][0] == calls[2][0]
+
+
+def test_solver_failure_on_consistent_data_is_raised_once(monkeypatch) -> None:
+    # When the stacked program fails on data that every diagnosis accepts,
+    # the solver's message is raised after the diagnosis, without a second
+    # attempt at the stack.
+    widths = []
+    real_linprog = scipy.optimize.linprog
+
+    def failing_stack(c, **kwargs):
+        widths.append(len(c))
+        if len(c) == widths[0]:
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
+        return real_linprog(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_stack)
+    gains = geometric_gains(1e-3)
+    errors = np.full((3, 3), 0.03)
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=errors, e_diag=errors.copy(),
+    )
+    with pytest.raises(RuntimeError, match=r"^linear program failed: numerical difficulties$"):
+        analyze_matrices(matrices)
+    # The elastic programs of the three bracket sets and the denominator's
+    # own solve ran; the stack was solved once.
+    assert len(widths) == 5
+    assert widths.count(widths[0]) == 1
 
 
 def asymmetric_matrices() -> GainErrorMatrices:
