@@ -25,9 +25,9 @@ the blocks of one block-diagonal program.  Each program is plain numpy arrays:
 a dense equality block and the column indices and values of its inequality
 rows, two entries each; the stack goes to the solver as COO triplets.
 
-Only the optimal values of the programs are contractual; the reported yield
-surfaces are one optimal vertex, with the cells a program leaves out at the
-cap 1, and may differ between solver versions.
+Only the optimal values of the programs are reported: the optimal vertex may
+differ between solver versions, so nothing reads its other entries.  The key
+rate charges error correction on the measured signal gain and error rate.
 
 Importing this module loads numpy only: scipy is imported by _linprog, the one
 function that calls the solver, when a bound is first solved.
@@ -116,36 +116,18 @@ class GainErrorMatrices:
 
 
 @dataclasses.dataclass(frozen=True)
-class YieldSolution:
-    """Optimal-vertex yield surfaces from the bounding programs.
-
-    Shapes are (truncation + 1, truncation + 1); cells a program leaves out
-    read 1, the cap.  ye_diag holds the error-weighted yields of the
-    diagonal-basis program.  The surfaces are diagnostic only; bounds are the
-    contractual outputs.
-    """
-
-    y_rect: np.ndarray
-    y_diag: np.ndarray
-    ye_diag: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class DecoyResult:
-    """Full analysis output: bounds, reconstructed totals, and the key rate."""
+    """Full analysis output: bounds, the measured signal data, and the key rate."""
 
     y11_lower: float
     e11_upper: float
     q11: float
     q_rect_measured: float
-    q_rect_reconstructed: float
-    q_rect_global: float
     e_rect_global: float
     rate: float
     f_ec: float
     truncation: int
     mus: tuple[float, float, float]
-    solution: YieldSolution
     warnings: tuple[str, ...]
 
 
@@ -166,10 +148,9 @@ _BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in
 
 @dataclasses.dataclass(frozen=True)
 class YieldBound:
-    """Result of the single-photon yield program: bound plus its vertex."""
+    """Result of the single-photon yield program."""
 
     value: float
-    surface: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,8 +159,6 @@ class ErrorBound:
 
     value: float
     y11_diag_lower: float
-    y_surface: np.ndarray
-    ye_surface: np.ndarray
 
 
 def shannon_entropy(p: float) -> float:
@@ -427,16 +406,8 @@ def _diagnose(program: _Program) -> None:
         _checked_denominator(float(program.c @ res.x))
 
 
-def _surface(values: np.ndarray, cells: np.ndarray, width: int) -> np.ndarray:
-    """The (width, width) surface holding values on the kept cells and the cap 1 elsewhere."""
-    surface = np.ones(width * width)
-    surface[cells] = values[: len(cells)]
-    return surface.reshape(width, width)
-
-
 def _yield_bound(x: np.ndarray, program: _Program, width: int) -> YieldBound:
-    surface = _surface(x, program.cells, width)
-    return YieldBound(value=float(surface[1, 1]), surface=surface)
+    return YieldBound(value=float(x[_y11_column(program.cells, width)]))
 
 
 def _error_bound(
@@ -444,16 +415,12 @@ def _error_bound(
 ) -> ErrorBound:
     y_program, ratio = programs
     y11 = _checked_denominator(float(y_program.c @ y_x))
-    n_half = len(ratio.cells)
     z11 = _y11_column(ratio.cells, width)
     if ratio_x[-1] <= 0.0:
         raise DegenerateBoundError("error ratio vertex has t = 0: gains below the solver tolerance")
-    z = ratio_x[: 2 * n_half] / ratio_x[-1]
     return ErrorBound(
-        value=min(0.5, max(0.0, float(ratio_x[n_half + z11] / ratio_x[z11]))),
+        value=min(0.5, max(0.0, float(ratio_x[len(ratio.cells) + z11] / ratio_x[z11]))),
         y11_diag_lower=y11,
-        y_surface=_surface(z, ratio.cells, width),
-        ye_surface=_surface(z[n_half:], ratio.cells, width),
     )
 
 
@@ -468,7 +435,7 @@ def lp_bound_yield(
         truncation: photon-number cutoff per sender, at most MAX_TRUNCATION.
 
     Returns:
-        YieldBound with the minimal feasible Y^{11} and one attaining surface.
+        YieldBound with the minimal feasible Y^{11}.
     """
     gains = checked_matrix("gains", gains)
     rows, tails = _poisson_rows(mus, truncation)
@@ -589,33 +556,18 @@ def analyze_matrices(
     rect_bound = _yield_bound(rect_x, rect, width)
     error_bound = _error_bound(*diag_x, diag, width)
     q11 = single_photon_gain(rect_bound.value, matrices.mus[0])
-
-    e_rect_measured = float(matrices.e_rect[0, 0])
-    # Yields outside the program (outside the truncation box, or on cells it
-    # leaves out) are taken at the cap, keeping the reconstruction
-    # conservative for the subtraction term.
-    q_rect_reconstructed = float(rows[0] @ rect_bound.surface @ rows[0] + tails[0, 0])
-
-    rate = secret_key_rate(
-        q11, error_bound.value, q_rect_reconstructed, e_rect_measured, f_ec
-    )
+    q_rect = float(matrices.q_rect[0, 0])
+    e_rect = float(matrices.e_rect[0, 0])
     return DecoyResult(
         y11_lower=rect_bound.value,
         e11_upper=error_bound.value,
         q11=q11,
-        q_rect_measured=float(matrices.q_rect[0, 0]),
-        q_rect_reconstructed=q_rect_reconstructed,
-        q_rect_global=q_rect_reconstructed,
-        e_rect_global=e_rect_measured,
-        rate=rate,
+        q_rect_measured=q_rect,
+        e_rect_global=e_rect,
+        rate=secret_key_rate(q11, error_bound.value, q_rect, e_rect, f_ec),
         f_ec=f_ec,
         truncation=truncation,
         mus=matrices.mus,
-        solution=YieldSolution(
-            y_rect=rect_bound.surface,
-            y_diag=error_bound.y_surface,
-            ye_diag=error_bound.ye_surface,
-        ),
         warnings=tuple(extra_warnings),
     )
 

@@ -51,6 +51,9 @@ GAINS_FORMAT = "mdiqkd-gains"
 REPORT_FORMAT = "mdiqkd-report"
 HOM_FORMAT = "mdiqkd-homscan"
 FORMAT_VERSION = "1.0"
+# No reader loads reports, so their version moves apart from FORMAT_VERSION,
+# which also sets the major version the counts and gains readers accept.
+REPORT_VERSION = "2.0"
 
 # File tokens for the four state codes, in code order.
 SOP_TOKENS = ("H", "V", "+", "-")
@@ -153,13 +156,13 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
-def _render(format_name: str, header, rows) -> str:
+def _render(format_name: str, header, rows, version: str = FORMAT_VERSION) -> str:
     """Canonical data-file text.
 
     The format line, then one "key: value" line per (key, value) pair of
     header, then one line per row of string fields, joined by single spaces.
     """
-    lines = [f"format: {format_name} {FORMAT_VERSION}"]
+    lines = [f"format: {format_name} {version}"]
     lines += [f"{key}: {value}" for key, value in header]
     lines += [" ".join(fields) for fields in rows]
     return "\n".join(lines) + "\n"
@@ -420,8 +423,6 @@ def format_report(report: ResultReport) -> str:
             "e11_upper",
             "q11",
             "q_rect_measured",
-            "q_rect_reconstructed",
-            "q_rect_global",
             "e_rect_global",
             "rate",
         )
@@ -431,7 +432,7 @@ def format_report(report: ResultReport) -> str:
         (f"warning_{k}", " ".join(str(message).split()))
         for k, message in enumerate(result.warnings, start=1)
     ]
-    return _render(REPORT_FORMAT, header, ())
+    return _render(REPORT_FORMAT, header, (), REPORT_VERSION)
 
 
 def save_report(report: ResultReport, path: str) -> None:

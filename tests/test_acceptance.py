@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from test_cli import reference_gains_path
-from test_decoy import REFERENCE_MUS
+from test_decoy import REFERENCE_MUS, conclusive_split, population_matrices
 
 from mdiqkd.bsa import BsaInput, DetectorModel, coherent_click_probs, fock_bsa_oracle
 from mdiqkd.cli import main
 from mdiqkd.decoy import (
     DegenerateBoundError,
-    GainErrorMatrices,
     InfeasibleModelError,
     analyze,
     analyze_matrices,
@@ -26,22 +25,12 @@ from mdiqkd.decoy import (
     lp_bound_yield,
     secret_key_rate,
 )
-from mdiqkd.optics import SOP_BY_CODE, ChannelModel, attenuate, standard_classes
+from mdiqkd.optics import SOP_BY_CODE, ChannelModel, standard_classes
 from mdiqkd.session import HomScanConfig, SessionConfig, hom_scan, run_session
-
-PSI_PLUS_PATTERNS = (0b0011, 0b1100)
-PSI_MINUS_PATTERNS = (0b1001, 0b0110)
 
 
 def verdict(number: int, slug: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number} {slug}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def conclusive_split(response) -> tuple[float, float, float]:
-    probs = response.pattern_probs
-    plus = float(sum(probs[p] for p in PSI_PLUS_PATTERNS))
-    minus = float(sum(probs[p] for p in PSI_MINUS_PATTERNS))
-    return plus, minus, plus + minus
 
 
 def test_acceptance_1_reference_rate_reproduction(tmp_path, capsys) -> None:
@@ -235,50 +224,6 @@ def test_acceptance_4_lp_soundness_suite() -> None:
             f"{pooled:.1%} exceeds the 5% target (the diagonal-basis error "
             "program plateaus near 19% slack at this mu set)"
         )
-
-
-def population_matrices() -> GainErrorMatrices:
-    # Infinite-pulse limit of the check-5 session: analyzer response
-    # mixed over the channel-A misalignment flip, tabulated by preparation.
-    detector = DetectorModel(efficiency=1.0, dark_prob=1.5e-5)
-    mis = 0.019
-    cells = {
-        "rect": ((0, 0), (0, 1), (1, 0), (1, 1)),
-        "diag": ((2, 2), (2, 3), (3, 2), (3, 3)),
-    }
-    q = {name: np.empty((3, 3)) for name in cells}
-    e = {name: np.empty((3, 3)) for name in cells}
-    for i in range(3):
-        for j in range(3):
-            mu_a = attenuate(REFERENCE_MUS[i], 19.5)
-            mu_b = attenuate(REFERENCE_MUS[j], 19.5)
-            for basis, basis_cells in cells.items():
-                total = wrong = 0.0
-                for sa, sb in basis_cells:
-                    plus = minus = 0.0
-                    for flip, weight in ((0, 1.0 - mis), (1, mis)):
-                        response = coherent_click_probs(
-                            BsaInput(mu_a, mu_b, SOP_BY_CODE[sa ^ flip], SOP_BY_CODE[sb]),
-                            detector,
-                        )
-                        p, m, _ = conclusive_split(response)
-                        plus += weight * p
-                        minus += weight * m
-                    total += plus + minus
-                    same_bit = (sa & 1) == (sb & 1)
-                    if basis == "rect":
-                        wrong += (plus + minus) if same_bit else 0.0
-                    else:
-                        wrong += minus if same_bit else plus
-                q[basis][i, j] = total / 4.0
-                e[basis][i, j] = wrong / total
-    return GainErrorMatrices(
-        mus=REFERENCE_MUS,
-        q_rect=q["rect"],
-        q_diag=q["diag"],
-        e_rect=e["rect"],
-        e_diag=e["diag"],
-    )
 
 
 def test_acceptance_5_end_to_end_session() -> None:

@@ -283,7 +283,9 @@ def test_analyze_success_path(tmp_path, capsys) -> None:
     fields = dict(
         line.split(": ", 1) for line in text.splitlines() if ": " in line
     )
-    assert fields["format"] == "mdiqkd-report 1.0"
+    assert fields["format"] == "mdiqkd-report 2.0"
+    assert "q_rect_reconstructed" not in fields
+    assert "q_rect_global" not in fields
     assert fields["input_sha256"] == file_digest(counts_path)
     assert fields["seed"] == "0"
     assert float(fields["y11_lower"]) == pytest.approx(1.9e-3, rel=0.1)

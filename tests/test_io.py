@@ -302,11 +302,15 @@ def test_report_layout_and_precision() -> None:
     report = ResultReport(result=result, input_sha256="ab" * 32, seed=9)
     text = format_report(report)
     lines = text.splitlines()
-    assert lines[0] == "format: mdiqkd-report 1.0"
+    assert lines[0] == "format: mdiqkd-report 2.0"
     assert lines[1] == f"tool_version: {TOOL_VERSION}"
     assert f"input_sha256: {'ab' * 32}" in lines
     assert "seed: 9" in lines
     fields = dict(line.split(": ", 1) for line in lines if ": " in line)
+    # 2.0 dropped the signal gain rebuilt from an optimal vertex.
+    assert "q_rect_reconstructed" not in fields
+    assert "q_rect_global" not in fields
+    assert float(fields["q_rect_measured"]) == result.q_rect_measured
     # repr round trip: every numeric field reparses to the exact float.
     assert float(fields["rate"]) == result.rate
     assert float(fields["y11_lower"]) == result.y11_lower
