@@ -39,8 +39,6 @@ MAX_FOCK_PHOTONS = 4
 PATTERN_COUNT = 16
 
 # Pattern index encodes detector d (1-based) as bit d-1.
-PSI_PLUS_PATTERNS = (0b0011, 0b1100)
-PSI_MINUS_PATTERNS = (0b1001, 0b0110)
 COINCIDENCE_PATTERNS: dict[str, int] = {
     "C12": 0b0011,
     "C34": 0b1100,
@@ -135,11 +133,13 @@ class BsaResponse:
 
     @property
     def psi_plus_prob(self) -> float:
-        return float(sum(self.pattern_probs[i] for i in PSI_PLUS_PATTERNS))
+        probs = self.pattern_probs
+        return float(probs[COINCIDENCE_PATTERNS["C12"]] + probs[COINCIDENCE_PATTERNS["C34"]])
 
     @property
     def psi_minus_prob(self) -> float:
-        return float(sum(self.pattern_probs[i] for i in PSI_MINUS_PATTERNS))
+        probs = self.pattern_probs
+        return float(probs[COINCIDENCE_PATTERNS["C14"]] + probs[COINCIDENCE_PATTERNS["C23"]])
 
     @property
     def conclusive_prob(self) -> float:

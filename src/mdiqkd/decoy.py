@@ -146,21 +146,6 @@ _HIGHS_OPTIONS = {
 _BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in range(3)]
 
 
-@dataclasses.dataclass(frozen=True)
-class YieldBound:
-    """Result of the single-photon yield program."""
-
-    value: float
-
-
-@dataclasses.dataclass(frozen=True)
-class ErrorBound:
-    """Result of the single-photon error program."""
-
-    value: float
-    y11_diag_lower: float
-
-
 def shannon_entropy(p: float) -> float:
     """Binary entropy H2(p) in bits, with H2(0) = H2(1) = 0."""
     if not 0.0 <= p <= 1.0:
@@ -364,12 +349,11 @@ def _solve(programs: list[_Program]) -> list[np.ndarray]:
     return np.split(res.x, np.cumsum([len(p.c) for p in stack[:-1]]))[::-1]
 
 
-def _checked_denominator(y11: float) -> float:
+def _checked_denominator(y11: float) -> None:
     if y11 <= _DENOM_FLOOR:
         raise DegenerateBoundError(
             f"single-photon yield lower bound {y11!r} is too small to divide the error mass by"
         )
-    return y11
 
 
 def _diagnose(program: _Program) -> None:
@@ -406,27 +390,20 @@ def _diagnose(program: _Program) -> None:
         _checked_denominator(float(program.c @ res.x))
 
 
-def _yield_bound(x: np.ndarray, program: _Program, width: int) -> YieldBound:
-    return YieldBound(value=float(x[_y11_column(program.cells, width)]))
-
-
 def _error_bound(
     y_x: np.ndarray, ratio_x: np.ndarray, programs: list[_Program], width: int
-) -> ErrorBound:
+) -> float:
     y_program, ratio = programs
-    y11 = _checked_denominator(float(y_program.c @ y_x))
+    _checked_denominator(float(y_program.c @ y_x))
     z11 = _y11_column(ratio.cells, width)
     if ratio_x[-1] <= 0.0:
         raise DegenerateBoundError("error ratio vertex has t = 0: gains below the solver tolerance")
-    return ErrorBound(
-        value=min(0.5, max(0.0, float(ratio_x[len(ratio.cells) + z11] / ratio_x[z11]))),
-        y11_diag_lower=y11,
-    )
+    return min(0.5, max(0.0, float(ratio_x[len(ratio.cells) + z11] / ratio_x[z11])))
 
 
 def lp_bound_yield(
     gains: np.ndarray, mus: tuple[float, float, float], truncation: int = DEFAULT_TRUNCATION
-) -> YieldBound:
+) -> float:
     """Lower-bound the single-photon yield Y^{11} from one basis's gain matrix.
 
     Args:
@@ -435,13 +412,13 @@ def lp_bound_yield(
         truncation: photon-number cutoff per sender, at most MAX_TRUNCATION.
 
     Returns:
-        YieldBound with the minimal feasible Y^{11}.
+        The minimal feasible Y^{11}.
     """
     gains = checked_matrix("gains", gains)
     rows, tails = _poisson_rows(mus, truncation)
     program = _bracket_program(rows, tails, [gains])
     (x,) = _solve([program])
-    return _yield_bound(x, program, rows.shape[1])
+    return float(x[_y11_column(program.cells, rows.shape[1])])
 
 
 def lp_bound_error(
@@ -449,7 +426,7 @@ def lp_bound_error(
     qbers: np.ndarray,
     mus: tuple[float, float, float],
     truncation: int = DEFAULT_TRUNCATION,
-) -> ErrorBound:
+) -> float:
     """Upper-bound the single-photon error rate e^{11} from one basis's data.
 
     Maximizes the ratio (YE)^{11} / Y^{11} over the joint polytope of yields Y
@@ -458,6 +435,9 @@ def lp_bound_error(
     dominates the true e^{11}.  One linprog call solves the ratio, as one
     Charnes-Cooper program, together with the Y^{11} lower bound over the
     gain brackets, which must be positive for the ratio to be defined.
+
+    Returns:
+        The e^{11} upper bound: the ratio optimum, clipped to [0, 0.5].
 
     Raises:
         DegenerateBoundError: the Y^{11} lower bound is numerically zero.
@@ -553,18 +533,18 @@ def analyze_matrices(
     rect = _bracket_program(rows, tails, [matrices.q_rect])
     diag = _error_programs(rows, tails, matrices.q_diag, matrices.e_diag)
     rect_x, *diag_x = _solve([rect, *diag])
-    rect_bound = _yield_bound(rect_x, rect, width)
-    error_bound = _error_bound(*diag_x, diag, width)
-    q11 = single_photon_gain(rect_bound.value, matrices.mus[0])
+    y11 = float(rect_x[_y11_column(rect.cells, width)])
+    e11 = _error_bound(*diag_x, diag, width)
+    q11 = single_photon_gain(y11, matrices.mus[0])
     q_rect = float(matrices.q_rect[0, 0])
     e_rect = float(matrices.e_rect[0, 0])
     return DecoyResult(
-        y11_lower=rect_bound.value,
-        e11_upper=error_bound.value,
+        y11_lower=y11,
+        e11_upper=e11,
         q11=q11,
         q_rect_measured=q_rect,
         e_rect_global=e_rect,
-        rate=secret_key_rate(q11, error_bound.value, q_rect, e_rect, f_ec),
+        rate=secret_key_rate(q11, e11, q_rect, e_rect, f_ec),
         f_ec=f_ec,
         truncation=truncation,
         mus=matrices.mus,

@@ -70,12 +70,6 @@ class FormatError(ValueError):
     """A file failed to parse or violated a format invariant."""
 
 
-def file_digest(path: str) -> str:
-    """SHA-256 hex digest of a file's raw bytes."""
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 def read_text(path: str) -> tuple[str, str]:
     """A UTF-8 text file's contents, without a leading byte-order mark, and the
     SHA-256 hex digest of its bytes."""

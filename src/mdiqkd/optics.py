@@ -18,9 +18,6 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
-BASIS_RECT = "rect"
-BASIS_DIAG = "diag"
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # A class label the counts file format can carry: one token without "=" or
@@ -63,7 +60,6 @@ SOP_MINUS = PolarizationState(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j)
 # in the low bit, so an orthogonal flip is code ^ 1 and the basis is code >> 1.
 SOP_BY_CODE: tuple[PolarizationState, ...] = (SOP_H, SOP_V, SOP_PLUS, SOP_MINUS)
 SOP_LABELS: tuple[str, ...] = ("H", "V", "+45", "-45")
-BASIS_BY_CODE: tuple[str, ...] = (BASIS_RECT, BASIS_RECT, BASIS_DIAG, BASIS_DIAG)
 
 
 def poisson_pmf(mu: float, n):

@@ -61,23 +61,15 @@ for _name, _pattern in COINCIDENCE_PATTERNS.items():
 MODE_RANDOM = "random"
 MODE_SWEEP = "sweep"
 
-# Sweep mode cycles through the 72 agreeing-basis configurations gate by gate:
-# 9 intensity pairs x 8 same-basis state pairs, rectilinear block first.
-SWEEP_SOP_PAIRS: tuple[tuple[int, int], ...] = (
-    (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3),
-)
+# The agreeing-basis cells: a state code's basis is code >> 1 (see optics).
+_BASIS = np.arange(N_SOPS) >> 1
+_AGREE = np.broadcast_to(_BASIS[:, None] == _BASIS, (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS))
+# Sweep mode cycles through the 72 agreeing-basis configurations gate by gate,
+# in cell order: 9 intensity pairs x 8 same-basis state pairs, rectilinear first.
 SWEEP_SLOTS: tuple[tuple[int, int, int, int], ...] = tuple(
-    (ia, ib, sa, sb)
-    for ia in range(N_CLASSES)
-    for ib in range(N_CLASSES)
-    for sa, sb in SWEEP_SOP_PAIRS
+    map(tuple, np.argwhere(_AGREE).tolist())
 )
-_SWEEP_CELLS = np.ravel_multi_index(
-    tuple(np.transpose(SWEEP_SLOTS)), (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS)
-)
-_MISMATCHED = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=bool)
-_MISMATCHED[:, :, :2, 2:] = True
-_MISMATCHED[:, :, 2:, :2] = True
+_SWEEP_CELLS = np.flatnonzero(_AGREE)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -88,8 +80,8 @@ class SessionConfig:
     file's defaults: an empty config file gives SessionConfig().
 
     Attributes:
-        pulses: number of gates (pulse pairs) to simulate.
-        seed: master RNG seed.
+        pulses: number of gates (pulse pairs) to simulate, below 2**63.
+        seed: master RNG seed, >= 0.
         classes: (signal, decoy, vacuum) intensity classes.
         class_probs: per-gate selection probabilities for the three classes,
             applied independently at each sender.
@@ -116,8 +108,10 @@ class SessionConfig:
     repetition_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.pulses < 1:
-            raise ParameterError(f"pulses must be >= 1, got {self.pulses!r}")
+        if not 1 <= self.pulses < 2**63:
+            raise ParameterError(f"pulses must lie in [1, 2**63), got {self.pulses!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
         if self.batch_gates < 1:
             raise ParameterError(f"batch_gates must be >= 1, got {self.batch_gates!r}")
         validate_classes(self.classes)
@@ -226,14 +220,14 @@ def _outcome_law(config: SessionConfig) -> np.ndarray:
     mus_a = np.array([attenuate(c.mu, config.channel_a.loss_db) for c in config.classes])
     mus_b = np.array([attenuate(c.mu, config.channel_b.loss_db) for c in config.classes])
     overlap = config.channel_a.temporal_overlap * config.channel_b.temporal_overlap
-    ia, ib, sa, sb = np.nonzero(~_MISMATCHED)
+    ia, ib, sa, sb = np.nonzero(_AGREE)
     probs = _pattern_table(
         mus_a[ia], mus_b[ib], _CODE_AMPS_A[sa], _CODE_AMPS_B[sb], overlap, config.detector
     )
     seen = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS + 1))
-    seen[_MISMATCHED, N_COLUMNS] = 1.0
+    seen[~_AGREE, N_COLUMNS] = 1.0
     # Fold the 16 patterns into the 7 columns with a one-hot (16, 7) matrix.
-    seen[~_MISMATCHED, :N_COLUMNS] = (
+    seen[_AGREE, :N_COLUMNS] = (
         probs / probs.sum(axis=1, keepdims=True)
     ) @ np.eye(N_COLUMNS)[_FOLD]
     mis_a = config.channel_a.misalignment
@@ -271,8 +265,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
         table = rng.multinomial(config.pulses, pvals / pvals.sum()).reshape(N_CELLS, -1)
     else:
         # Gate g goes to slot g mod 72, so each slot's pulse count is fixed.
-        n_slots = len(SWEEP_SLOTS)
-        slot_pulses = (config.pulses - np.arange(n_slots) + n_slots - 1) // n_slots
+        n_slots = len(_SWEEP_CELLS)
+        slot_pulses = np.full(n_slots, config.pulses // n_slots)
+        slot_pulses[: config.pulses % n_slots] += 1
         table = np.zeros((N_CELLS, N_COLUMNS + 1), dtype=np.int64)
         table[_SWEEP_CELLS] = rng.multinomial(slot_pulses, law[_SWEEP_CELLS])
 
@@ -291,8 +286,8 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
 def sift(tables: CountTables) -> CountTables:
     """Drop mismatched-basis cells, keeping agreeing-basis pulses and counts."""
     out = tables.copy()
-    out.pulses_sent[_MISMATCHED] = 0
-    out.counts[_MISMATCHED] = 0
+    out.pulses_sent[~_AGREE] = 0
+    out.counts[~_AGREE] = 0
     out.sifted = True
     return out
 
@@ -330,10 +325,12 @@ class HomScanConfig:
             )
         if not self.delays_ns or any(not math.isfinite(t) for t in self.delays_ns):
             raise ParameterError("delays_ns must be a non-empty tuple of finite floats")
-        if self.pulses_per_point < 1:
+        if not 1 <= self.pulses_per_point < 2**63:
             raise ParameterError(
-                f"pulses_per_point must be >= 1, got {self.pulses_per_point!r}"
+                f"pulses_per_point must lie in [1, 2**63), got {self.pulses_per_point!r}"
             )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,9 +14,8 @@ from mdiqkd.bsa import (
     BellOutcome,
     BsaInput,
     BsaResponse,
+    COINCIDENCE_PATTERNS,
     DetectorModel,
-    PSI_MINUS_PATTERNS,
-    PSI_PLUS_PATTERNS,
     UnsupportedSizeError,
     _detector_amplitudes,
     _i0e,
@@ -111,12 +110,14 @@ def test_outcome_pattern_map() -> None:
     def pattern(*detectors: int) -> int:
         return sum(1 << (d - 1) for d in detectors)
 
-    assert PSI_PLUS_PATTERNS == (pattern(1, 2), pattern(3, 4))
-    assert PSI_MINUS_PATTERNS == (pattern(1, 4), pattern(2, 3))
+    psi_plus = (pattern(1, 2), pattern(3, 4))
+    psi_minus = (pattern(1, 4), pattern(2, 3))
+    assert psi_plus == (COINCIDENCE_PATTERNS["C12"], COINCIDENCE_PATTERNS["C34"])
+    assert psi_minus == (COINCIDENCE_PATTERNS["C14"], COINCIDENCE_PATTERNS["C23"])
     for index in range(16):
         response = BsaResponse(np.eye(16)[index])
-        assert response.psi_plus_prob == (index in PSI_PLUS_PATTERNS)
-        assert response.psi_minus_prob == (index in PSI_MINUS_PATTERNS)
+        assert response.psi_plus_prob == (index in psi_plus)
+        assert response.psi_minus_prob == (index in psi_minus)
 
 
 def test_fock_oracle_validation() -> None:

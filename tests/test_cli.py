@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import mdiqkd
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
-    file_digest,
     load_session_config,
     parse_counts,
     save_counts,
@@ -212,6 +212,21 @@ def test_bad_config_exits_one(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_range_integer_flags_exit_one(tmp_path, capsys) -> None:
+    # The random generator cannot take these values; they must be refused
+    # before it sees them, with an error line and no output file.
+    hom_config = tmp_path / "hom.cfg"
+    hom_config.write_text("delays_ns = 0.0\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["simulate", write_session_config(tmp_path), "--seed", "-1"],
+        ["hom-scan", str(hom_config), "--pulses", str(2**63)],
+    ):
+        assert main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 def test_non_utf8_input_exits_one(tmp_path, capsys) -> None:
     for command in ("rate", "analyze", "simulate", "hom-scan"):
         path = tmp_path / f"{command}.txt"
@@ -286,7 +301,8 @@ def test_analyze_success_path(tmp_path, capsys) -> None:
     assert fields["format"] == "mdiqkd-report 2.0"
     assert "q_rect_reconstructed" not in fields
     assert "q_rect_global" not in fields
-    assert fields["input_sha256"] == file_digest(counts_path)
+    with open(counts_path, "rb") as handle:
+        assert fields["input_sha256"] == hashlib.sha256(handle.read()).hexdigest()
     assert fields["seed"] == "0"
     assert float(fields["y11_lower"]) == pytest.approx(1.9e-3, rel=0.1)
     assert float(fields["e11_upper"]) >= 0.04
@@ -351,7 +367,8 @@ def test_rate_feasible_gains_exits_zero(tmp_path, capsys) -> None:
     text = report_a.read_text(encoding="utf-8")
     assert report_a.read_bytes() == report_b.read_bytes()
     assert "seed:" not in text
-    assert f"input_sha256: {file_digest(path)}" in text
+    with open(path, "rb") as handle:
+        assert f"input_sha256: {hashlib.sha256(handle.read()).hexdigest()}" in text
     fields = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
     float(fields["rate"])
     capsys.readouterr()

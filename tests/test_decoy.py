@@ -226,8 +226,8 @@ def test_yield_bound_sound_and_tight_on_closed_family() -> None:
         true_y11 = 1.0 - (1.0 - y0) ** 2
         for truncation in (DEFAULT_TRUNCATION, MAX_TRUNCATION):
             bound = lp_bound_yield(geometric_gains(y0), REFERENCE_MUS, truncation)
-            assert bound.value <= true_y11 + 1e-9
-            assert bound.value >= 0.90 * true_y11
+            assert bound <= true_y11 + 1e-9
+            assert bound >= 0.90 * true_y11
 
 
 def test_true_surface_meets_the_brackets_the_solver_sees() -> None:
@@ -252,11 +252,11 @@ def test_error_bound_sound_on_closed_family() -> None:
         gains = geometric_gains(y0)
         qbers = np.full((3, 3), e0)
         bound = lp_bound_error(gains, qbers, REFERENCE_MUS)
-        assert bound.value >= e0 - 1e-9
-        assert bound.value <= 0.5 + 1e-12
-        assert bound.y11_diag_lower > 0.0
+        assert bound >= e0 - 1e-9
+        assert bound <= 0.5 + 1e-12
+        assert lp_bound_yield(gains, REFERENCE_MUS) > 0.0
         if y0 == 1e-3:
-            assert bound.value <= 1.30 * e0
+            assert bound <= 1.30 * e0
 
 
 def test_error_bound_sound_on_random_surfaces() -> None:
@@ -282,15 +282,15 @@ def test_error_bound_sound_on_random_surfaces() -> None:
                 )
         true_y11 = yield_at(1, 1)
         yb = lp_bound_yield(gains, REFERENCE_MUS)
-        assert yb.value <= true_y11 + 1e-9
+        assert yb <= true_y11 + 1e-9
         eb = lp_bound_error(gains, np.full((3, 3), e0), REFERENCE_MUS)
-        assert eb.value >= e0 - 1e-9
+        assert eb >= e0 - 1e-9
 
 
 def test_zero_error_surfaces_give_zero_bound() -> None:
     gains = geometric_gains(1e-3)
     bound = lp_bound_error(gains, np.zeros((3, 3)), REFERENCE_MUS)
-    assert bound.value == 0.0
+    assert bound == 0.0
 
 
 def test_degenerate_bound_on_vanishing_gains() -> None:
@@ -345,8 +345,8 @@ def test_tiny_diagonal_gains_give_one_bound() -> None:
                 e_rect=errors, e_diag=errors.copy(),
             )
         )
-        assert bound.value >= 0.05
-        assert result.e11_upper == pytest.approx(bound.value, rel=1e-9)
+        assert bound >= 0.05
+        assert result.e11_upper == pytest.approx(bound, rel=1e-9)
 
 
 def test_analysis_at_the_truncation_ceiling() -> None:
@@ -416,21 +416,21 @@ def test_reference_analysis_raises_certificate() -> None:
 
 
 def test_reference_diag_bounds_frozen() -> None:
-    assert lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS).value == pytest.approx(
+    assert lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS) == pytest.approx(
         FROZEN_Y11_DIAG_T7, rel=1e-6
     )
     assert lp_bound_error(
         REFERENCE_Q_DIAG, REFERENCE_E_DIAG, REFERENCE_MUS
-    ).value == pytest.approx(FROZEN_E11_T7, rel=1e-6)
+    ) == pytest.approx(FROZEN_E11_T7, rel=1e-6)
 
 
 def test_truncation_tightens_both_bounds() -> None:
-    y7 = lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS, truncation=7).value
-    y10 = lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS, truncation=10).value
+    y7 = lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS, truncation=7)
+    y10 = lp_bound_yield(REFERENCE_Q_DIAG, REFERENCE_MUS, truncation=10)
     assert y10 == pytest.approx(FROZEN_Y11_DIAG_T10, rel=1e-6)
     assert y10 >= y7
-    e7 = lp_bound_error(REFERENCE_Q_DIAG, REFERENCE_E_DIAG, REFERENCE_MUS, 7).value
-    e10 = lp_bound_error(REFERENCE_Q_DIAG, REFERENCE_E_DIAG, REFERENCE_MUS, 10).value
+    e7 = lp_bound_error(REFERENCE_Q_DIAG, REFERENCE_E_DIAG, REFERENCE_MUS, 7)
+    e10 = lp_bound_error(REFERENCE_Q_DIAG, REFERENCE_E_DIAG, REFERENCE_MUS, 10)
     assert e10 == pytest.approx(FROZEN_E11_T10, rel=1e-6)
     assert e10 <= e7
 

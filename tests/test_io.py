@@ -17,7 +17,6 @@ from mdiqkd.io_formats import (
     FormatError,
     ResultReport,
     TOOL_VERSION,
-    file_digest,
     format_counts,
     format_gains,
     format_hom_table,
@@ -131,7 +130,7 @@ def test_counts_file_round_trip(tmp_path) -> None:
     path = str(tmp_path / "counts.txt")
     save_counts(tables, path)
     assert load_counts(path) == tables
-    assert len(file_digest(path)) == 64
+    assert len(read_text(path)[1]) == 64
 
 
 def test_counts_zero_cells_skipped() -> None:
@@ -245,7 +244,7 @@ def test_byte_order_mark_is_not_content(tmp_path) -> None:
         assert read_text(str(marked)) == (
             text, hashlib.sha256(marked.read_bytes()).hexdigest()
         )
-        assert read_text(str(marked))[1] == file_digest(str(marked)) != file_digest(str(plain))
+        assert read_text(str(marked))[1] != read_text(str(plain))[1]
 
     plain, marked = paths["counts"]
     assert load_counts(marked, strict=True) == load_counts(plain, strict=True)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mdiqkd.optics import (
-    BASIS_BY_CODE,
     ChannelModel,
     IntensityClass,
     ParameterError,
@@ -31,7 +30,12 @@ def test_states_are_normalized_and_code_ordered() -> None:
     assert SOP_LABELS == ("H", "V", "+45", "-45")
     for sop in SOP_BY_CODE:
         assert abs(abs(sop.amp_h) ** 2 + abs(sop.amp_v) ** 2 - 1.0) < EXACT_TOL
-    assert BASIS_BY_CODE == ("rect", "rect", "diag", "diag")
+    # A code's basis is code >> 1: states of one basis are equal or
+    # orthogonal, states of different bases overlap by 1/2.
+    for a, first in enumerate(SOP_BY_CODE):
+        for b, second in enumerate(SOP_BY_CODE):
+            expected = float(a == b) if a >> 1 == b >> 1 else 0.5
+            assert overlap(first, second) == pytest.approx(expected, abs=EXACT_TOL)
 
 
 def test_unnormalized_state_rejected() -> None:
@@ -61,7 +65,7 @@ def test_code_flip_is_orthogonal() -> None:
     for code, sop in enumerate(SOP_BY_CODE):
         flipped = code ^ 1
         assert overlap(sop, SOP_BY_CODE[flipped]) == pytest.approx(0.0, abs=EXACT_TOL)
-        assert BASIS_BY_CODE[flipped] == BASIS_BY_CODE[code]
+        assert flipped >> 1 == code >> 1
 
 
 def test_poisson_pmf_against_direct_series() -> None:

@@ -120,12 +120,24 @@ def test_sweep_mode_covers_slots_evenly() -> None:
         for sa in range(4)
         for sb in range(4)
     }
+    # The first five slots of the cycle take the five extra gates.
     for slot in SWEEP_SLOTS:
-        assert flat[slot] in (1000, 1001)
+        assert flat[slot] == (1001 if slot in SWEEP_SLOTS[:5] else 1000)
+    assert SWEEP_SLOTS[:8] == (
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+        (0, 0, 2, 2), (0, 0, 2, 3), (0, 0, 3, 2), (0, 0, 3, 3),
+    )
     slots = set(SWEEP_SLOTS)
     for cell, pulses in flat.items():
         if cell not in slots:
             assert pulses == 0
+
+
+def test_sweep_mode_at_the_largest_pulse_count() -> None:
+    # 2**63 - 1 gates, the largest count the counts format carries: no slot's
+    # share may overflow int64.
+    tables = run_session(make_config(pulses=2**63 - 1, mode="sweep"))
+    assert int(tables.pulses_sent.sum()) == 2**63 - 1
 
 
 def test_empirical_gain_matches_population() -> None:
@@ -288,8 +300,9 @@ def test_count_tables_validation_and_copy() -> None:
 
 
 def test_session_config_validation() -> None:
-    with pytest.raises(ParameterError):
-        make_config(pulses=0)
+    for bad in (dict(pulses=0), dict(pulses=2**63), dict(seed=-1)):
+        with pytest.raises(ParameterError):
+            make_config(**bad)
     with pytest.raises(ParameterError):
         make_config(class_probs=(0.5, 0.5, 0.5))
     with pytest.raises(ParameterError):
@@ -373,8 +386,9 @@ def test_hom_config_validation() -> None:
             make_hom_config(pulse_width_ns=width)
     with pytest.raises(ParameterError):
         make_hom_config(delays_ns=())
-    with pytest.raises(ParameterError):
-        make_hom_config(pulses_per_point=0)
+    for bad in (dict(pulses_per_point=0), dict(pulses_per_point=2**63), dict(seed=-1)):
+        with pytest.raises(ParameterError):
+            make_hom_config(**bad)
 
 
 def test_hom_scan_rates_follow_analyzer_response() -> None:
