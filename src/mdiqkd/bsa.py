@@ -4,9 +4,9 @@ Layout: a 50:50 coupler with transmission amplitude 1/sqrt(2) and reflection
 amplitude i/sqrt(2), followed by one polarizing splitter per output port.
 Detectors are numbered 1..4 as (port1, H), (port1, V), (port2, H), (port2, V).
 
-Outcome rule over the 16 click patterns:
-  * exactly detectors {1, 2} or exactly {3, 4} fire: PSI_PLUS
-  * exactly detectors {1, 4} or exactly {2, 3} fire: PSI_MINUS
+Outcome rule over the 16 click patterns, applied by psi_probs and nowhere else:
+  * exactly detectors {1, 2} or exactly {3, 4} fire: psi+
+  * exactly detectors {1, 4} or exactly {2, 3} fire: psi-
   * every other pattern, including no clicks, is not counted
 
 Temporal-mode model: each source occupies a common mode with amplitude weight
@@ -27,7 +27,6 @@ law, and dark counts are applied last.  coherent_click_probs wraps one input.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -53,11 +52,6 @@ _BITS = ((np.arange(PATTERN_COUNT)[:, None] >> np.arange(4)[None, :]) & 1).astyp
 
 class UnsupportedSizeError(ValueError):
     """Requested Fock expansion exceeds the brute-force photon-number bound."""
-
-
-class BellOutcome(enum.Enum):
-    PSI_PLUS = "psi_plus"
-    PSI_MINUS = "psi_minus"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -131,28 +125,19 @@ class BsaResponse:
             [float(self.pattern_probs[_BITS[:, d]].sum()) for d in range(4)]
         )
 
-    @property
-    def psi_plus_prob(self) -> float:
-        probs = self.pattern_probs
-        return float(probs[COINCIDENCE_PATTERNS["C12"]] + probs[COINCIDENCE_PATTERNS["C34"]])
 
-    @property
-    def psi_minus_prob(self) -> float:
-        probs = self.pattern_probs
-        return float(probs[COINCIDENCE_PATTERNS["C14"]] + probs[COINCIDENCE_PATTERNS["C23"]])
+def psi_probs(pattern_probs) -> np.ndarray:
+    """Probabilities of the (psi+, psi-) announcements, shape (..., 2).
 
-    @property
-    def conclusive_prob(self) -> float:
-        return self.psi_plus_prob + self.psi_minus_prob
-
-    @property
-    def conditional_fractions(self) -> dict[BellOutcome, float]:
-        """Bell fractions conditioned on a conclusive outcome (0, 0 if none)."""
-        plus, minus = self.psi_plus_prob, self.psi_minus_prob
-        total = plus + minus
-        if total <= 0.0:
-            return {BellOutcome.PSI_PLUS: 0.0, BellOutcome.PSI_MINUS: 0.0}
-        return {BellOutcome.PSI_PLUS: plus / total, BellOutcome.PSI_MINUS: minus / total}
+    pattern_probs holds pattern distributions on its last axis, as
+    _pattern_table returns them; psi+ is C12 + C34 and psi- is C14 + C23.
+    """
+    probs = np.asarray(pattern_probs, dtype=float)
+    c = COINCIDENCE_PATTERNS
+    return np.stack(
+        (probs[..., c["C12"]] + probs[..., c["C34"]], probs[..., c["C14"]] + probs[..., c["C23"]]),
+        axis=-1,
+    )
 
 
 def _detector_amplitudes(

@@ -14,14 +14,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .bsa import (
     _CODE_AMPS_A,
     _CODE_AMPS_B,
-    BellOutcome,
-    BsaResponse,
     DetectorModel,
     _pattern_table,
     fock_bsa_oracle,
+    psi_probs,
 )
 from .decoy import (
     DEFAULT_F_EC,
@@ -46,7 +47,7 @@ from .io_formats import (
     parse_gains,
     read_text,
 )
-from .optics import SOP_BY_CODE, SOP_LABELS, ParameterError
+from .optics import BASIS_LABELS, SOP_BY_CODE, SOP_LABELS, ParameterError
 from .session import hom_scan, run_session
 
 EXIT_OK = 0
@@ -115,38 +116,32 @@ def _cmd_hom_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Prepared pairs of the reference table: the rectilinear block, then the
-# diagonal block, by state code.
-_TABLE_ROWS = (
-    ("rect", 0, 0),
-    ("rect", 1, 1),
-    ("rect", 0, 1),
-    ("rect", 1, 0),
-    ("diag", 2, 2),
-    ("diag", 3, 3),
-    ("diag", 2, 3),
-    ("diag", 3, 2),
-)
+# Prepared state-code pairs of the reference table, the rectilinear block first.
+_TABLE_ROWS = ((0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (3, 3), (2, 3), (3, 2))
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    _, codes_a, codes_b = zip(*_TABLE_ROWS)
-    wcp_rows = _pattern_table(
-        args.mu, args.mu, _CODE_AMPS_A[list(codes_a)], _CODE_AMPS_B[list(codes_b)], 1.0,
-        DetectorModel(),
+    codes_a, codes_b = np.array(_TABLE_ROWS).T
+    single = [
+        fock_bsa_oracle(1, 1, SOP_BY_CODE[a], SOP_BY_CODE[b]).pattern_probs for a, b in _TABLE_ROWS
+    ]
+    wcp = _pattern_table(
+        args.mu, args.mu, _CODE_AMPS_A[codes_a], _CODE_AMPS_B[codes_b], 1.0, DetectorModel()
     )
+    # Bell fractions conditioned on a conclusive outcome (0, 0 if none).
+    psi = psi_probs(np.concatenate((single, wcp)))
+    total = psi.sum(axis=-1, keepdims=True)
+    fractions = np.divide(psi, total, out=np.zeros_like(psi), where=total > 0.0)
+    single_rows, wcp_rows = fractions.reshape(2, -1, 2).tolist()
     lines = [
         f"single-photon and weak-coherent analyzer response (wcp mu = {args.mu!r})",
         f"{'basis':<6} {'sop_a':<6} {'sop_b':<6} "
         f"{'1ph_psi+':>9} {'1ph_psi-':>9} {'wcp_psi+':>9} {'wcp_psi-':>9}",
     ]
-    for (basis, sa, sb), wcp_probs in zip(_TABLE_ROWS, wcp_rows):
-        single = fock_bsa_oracle(1, 1, SOP_BY_CODE[sa], SOP_BY_CODE[sb]).conditional_fractions
-        wcp = BsaResponse(pattern_probs=wcp_probs).conditional_fractions
+    for (sa, sb), (s_plus, s_minus), (w_plus, w_minus) in zip(_TABLE_ROWS, single_rows, wcp_rows):
         lines.append(
-            f"{basis:<6} {SOP_LABELS[sa]:<6} {SOP_LABELS[sb]:<6} "
-            f"{single[BellOutcome.PSI_PLUS]:>9g} {single[BellOutcome.PSI_MINUS]:>9g} "
-            f"{wcp[BellOutcome.PSI_PLUS]:>9.4f} {wcp[BellOutcome.PSI_MINUS]:>9.4f}"
+            f"{BASIS_LABELS[sa >> 1]:<6} {SOP_LABELS[sa]:<6} {SOP_LABELS[sb]:<6} "
+            f"{s_plus:>9g} {s_minus:>9g} {w_plus:>9.4f} {w_minus:>9.4f}"
         )
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

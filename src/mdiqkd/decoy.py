@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import ParameterError, poisson_pmf
+from .optics import BASIS_LABELS, ParameterError, poisson_pmf
 from .session import COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
@@ -456,11 +456,11 @@ def lp_bound_error(
 # errors in all four conclusive columns.  For diagonal preparation the
 # {1,4}/{2,3} outcome implies anticorrelated bits while {1,2}/{3,4} implies
 # correlated ones, so the erroneous columns depend on the prepared pair.
-_BASIS_SOPS = {"rect": slice(0, 2), "diag": slice(2, 4)}
+_BASIS_SOPS = {label: slice(2 * b, 2 * b + 2) for b, label in enumerate(BASIS_LABELS)}
 _SAME_BIT = np.eye(2, dtype=bool)[:, :, None]
 _ERROR_COLUMNS = {
-    "rect": _SAME_BIT & np.isin(COUNT_COLUMNS, ("c12", "c34", "c14", "c23")),
-    "diag": np.where(
+    BASIS_LABELS[0]: _SAME_BIT & np.isin(COUNT_COLUMNS, ("c12", "c34", "c14", "c23")),
+    BASIS_LABELS[1]: np.where(
         _SAME_BIT, np.isin(COUNT_COLUMNS, ("c14", "c23")), np.isin(COUNT_COLUMNS, ("c12", "c34"))
     ),
 }
@@ -506,18 +506,9 @@ def errors_from_counts(tables, basis: str) -> tuple[np.ndarray, list[str]]:
 
 def matrices_from_counts(tables) -> tuple[GainErrorMatrices, list[str]]:
     """Build measured gain and error matrices from session count tables."""
-    q_rect = gains_from_counts(tables, "rect")
-    q_diag = gains_from_counts(tables, "diag")
-    e_rect, warn_rect = errors_from_counts(tables, "rect")
-    e_diag, warn_diag = errors_from_counts(tables, "diag")
-    matrices = GainErrorMatrices(
-        mus=tuple(tables.class_mus),
-        q_rect=q_rect,
-        q_diag=q_diag,
-        e_rect=e_rect,
-        e_diag=e_diag,
-    )
-    return matrices, warn_rect + warn_diag
+    gains = [gains_from_counts(tables, basis) for basis in BASIS_LABELS]
+    errors, warnings = zip(*(errors_from_counts(tables, basis) for basis in BASIS_LABELS))
+    return GainErrorMatrices(tuple(tables.class_mus), *gains, *errors), sum(warnings, [])
 
 
 def analyze_matrices(

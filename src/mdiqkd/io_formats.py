@@ -293,6 +293,9 @@ def parse_counts(text: str, strict: bool = False, source: str = "<string>") -> C
             raise FormatError(f"{where}: counts must be non-negative")
         if max(numbers) >= 2**63:
             raise FormatError(f"{where}: counts must be below 2**63")
+        # A row may leave gates out of "other", but never count more than it sent.
+        if sum(numbers[1:]) > numbers[0]:
+            raise FormatError(f"{where}: counts exceed pulses_sent")
         pulses_sent[cell] = numbers[0]
         counts[cell] = numbers[1:]
 

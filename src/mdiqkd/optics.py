@@ -60,6 +60,8 @@ SOP_MINUS = PolarizationState(_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j)
 # in the low bit, so an orthogonal flip is code ^ 1 and the basis is code >> 1.
 SOP_BY_CODE: tuple[PolarizationState, ...] = (SOP_H, SOP_V, SOP_PLUS, SOP_MINUS)
 SOP_LABELS: tuple[str, ...] = ("H", "V", "+45", "-45")
+# Basis names, indexed by code >> 1.
+BASIS_LABELS: tuple[str, ...] = ("rect", "diag")
 
 
 def poisson_pmf(mu: float, n):

@@ -142,7 +142,8 @@ class CountTables:
     columns ordered as COUNT_COLUMNS.  Click counts are tabulated only for
     agreeing-basis cells; mismatched-basis cells carry pulses_sent but
     all-zero counts.  Construction refuses any table that the counts file
-    format could not write and read back unchanged.
+    format could not write, and every other table reads back unchanged except
+    one whose cell counts exceed its pulses_sent, which parse_counts refuses.
     """
 
     class_labels: tuple[str, str, str]

@@ -323,6 +323,24 @@ def test_analyze_infeasible_counts_exits_two(tmp_path, capsys) -> None:
     assert not report.exists()
 
 
+def test_analyze_counts_above_pulses_exits_one(tmp_path, capsys) -> None:
+    # Extra "other" tallies leave the gains unchanged, so only the reader can
+    # tell that this row counts more gates than it sent.
+    counts_path = tmp_path / "counts.txt"
+    save_counts(synthetic_feasible_tables(), str(counts_path))
+    lines = counts_path.read_text(encoding="utf-8").splitlines()
+    index = next(k for k, line in enumerate(lines) if line.startswith("signal signal H V "))
+    fields = lines[index].split()
+    fields[-1] = str(int(fields[4]))
+    lines[index] = " ".join(fields)
+    counts_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    assert main(["analyze", str(counts_path), "--output", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {counts_path}:{index + 1}: counts exceed pulses_sent\n"
+    assert not report.exists()
+
+
 def test_rate_reference_fixture_exits_two(tmp_path, capsys) -> None:
     gains_path = reference_gains_path(tmp_path)
     report = tmp_path / "report.txt"

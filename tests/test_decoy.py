@@ -1,6 +1,7 @@
 """Bounding pipeline: entropy, closed forms, LP bounds, count reduction."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -451,6 +452,38 @@ def test_raising_the_truncation_never_loosens_a_bound() -> None:
         low, high = (analyze_matrices(matrices, truncation=t) for t in (7, 15))
         assert high.y11_lower >= low.y11_lower - 1e-9
         assert high.e11_upper <= low.e11_upper + 1e-9
+
+
+def test_widening_a_bracket_never_tightens_a_bound() -> None:
+    # Raising one pair's tail T_ij widens its gain and error-weighted
+    # brackets, which only enlarges the feasible set, so y11 may not rise and
+    # e11 may not fall, beyond solver round-off.
+    errors = np.full((3, 3), 0.05)
+    instances = [
+        GainErrorMatrices(
+            mus=REFERENCE_MUS, q_rect=geometric_gains(y0), q_diag=geometric_gains(y0),
+            e_rect=errors, e_diag=errors.copy(),
+        )
+        for y0 in (1e-4, 1e-3, 1e-2)
+    ]
+    for matrices in [*instances, population_matrices(), population_matrices(25.0)]:
+        for truncation in (7, 15):
+            rows, tails = _poisson_rows(matrices.mus, truncation)
+
+            def bounds(rect_tails: np.ndarray, diag_tails: np.ndarray) -> tuple[float, float]:
+                rect = _bracket_program(rows, rect_tails, [matrices.q_rect])
+                diag = _error_programs(rows, diag_tails, matrices.q_diag, matrices.e_diag)
+                rect_x, *diag_x = _solve([rect, *diag])
+                return float(rect.c @ rect_x), _error_bound(*diag_x, diag, rows.shape[1])
+
+            y11, e11 = bounds(tails, tails)
+            for (i, j), fraction in itertools.product(np.ndindex(3, 3), (1e-6, 1e-3, 0.1)):
+                rect_tails, diag_tails = tails.copy(), tails.copy()
+                rect_tails[i, j] += fraction * matrices.q_rect[i, j]
+                diag_tails[i, j] += fraction * matrices.q_diag[i, j]
+                wide_y11, wide_e11 = bounds(rect_tails, diag_tails)
+                assert wide_y11 <= y11 * (1.0 + 1e-9)
+                assert wide_e11 >= e11 * (1.0 - 1e-9)
 
 
 def synthetic_tables() -> CountTables:

@@ -202,6 +202,89 @@ def test_counts_malformed_rows() -> None:
             parse_counts("\n".join(lines))
 
 
+def test_counts_row_above_its_pulses_rejected() -> None:
+    # A row's seven tallies may sum to less than its pulses_sent, since a file
+    # may leave out "other", but never to more; the sum is taken without
+    # int64 wrap-around.
+    lines = format_counts(small_tables()).splitlines()
+    index = next(k for k, line in enumerate(lines) if line.startswith("signal signal H V "))
+    fields = lines[index].split()
+    closing = int(fields[4]) - sum(int(f) for f in fields[5:-1])
+    big = str(2**63 - 1)
+    for row, accepted in (
+        (fields[:-1] + [str(closing)], True),
+        (fields[:-1] + ["0"], True),
+        (fields[:-1] + [str(closing + 1)], False),
+        (fields[:4] + [big] + fields[5:-1] + [big], False),
+    ):
+        lines[index] = " ".join(row)
+        text = "\n".join(lines)
+        if accepted:
+            parse_counts(text)
+            continue
+        message = rf"^<string>:{index + 1}: counts exceed pulses_sent$"
+        with pytest.raises(FormatError, match=message):
+            parse_counts(text)
+
+
+def set_header(key: str, value: str | None):
+    """A text edit that sets a header line's value, or drops the line for None."""
+    line = "" if value is None else f"{key}: {value}"
+    return lambda text: re.sub(rf"^{key}: .*$", line, text, count=1, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    ("kind", "mutate", "message"),
+    [
+        ("counts", set_header("sifted", "maybe"), "expected 'true' or 'false'"),
+        ("counts", set_header("repetition_rate_hz", "fast"), "expected a number"),
+        ("counts", set_header("repetition_rate_hz", "inf"), "expected a finite number"),
+        ("counts", set_header("format", "mdiqkd-counts 1.x"), "malformed version"),
+        ("counts", lambda text: "", "first line must be"),
+        (
+            "counts",
+            lambda text: text.replace("\nclasses:", "\nstray words\nclasses:", 1),
+            "missing header key 'columns'",
+        ),
+        ("counts", lambda text: text.split("columns:")[0], "missing header key 'columns'"),
+        ("counts", set_header("columns", "a b c"), "unsupported column layout"),
+        ("counts", set_header("pulses_total", None), "missing header key 'pulses_total'"),
+        (
+            "counts",
+            set_header("classes", "signal decoy=0.1 vacuum=0.0"),
+            "class entries must be label=mu",
+        ),
+        ("counts", set_header("classes", "signal=0.5 decoy=0.1"), "expected 3 classes"),
+        ("counts", set_header("mode", "random sweep"), "^<string>: mode must be a single token"),
+        ("gains", set_header("mus", "0.5 0.1"), "expected 3 intensities"),
+        ("gains", lambda text: text + "0.5 0.1 0.0\n", "expected 6 fields"),
+    ],
+    ids=[
+        "sifted-maybe",
+        "rate-not-a-number",
+        "rate-infinite",
+        "malformed-version",
+        "empty",
+        "stray-header-line",
+        "header-cut-before-columns",
+        "column-layout",
+        "no-pulses-total",
+        "class-without-mu",
+        "two-classes",
+        "mode-refused-by-tables",
+        "two-mus",
+        "short-gains-row",
+    ],
+)
+def test_reader_refusals(kind, mutate, message) -> None:
+    if kind == "counts":
+        text, parse = format_counts(small_tables()), parse_counts
+    else:
+        text, parse = format_gains(geometric_matrices()), parse_gains
+    with pytest.raises(FormatError, match=message):
+        parse(mutate(text))
+
+
 def test_counts_comments_and_blanks_tolerated() -> None:
     tables = small_tables()
     lines = format_counts(tables).splitlines()
