@@ -6,7 +6,10 @@ directly rather than gate by gate.  Each agreeing-basis cell's column law is
 the analyzer's 16-pattern response mixed over the misalignment flips and
 folded into the seven tallied columns (c12, c34, c14, c23, c13, c24, other).
 Mismatched-basis gates are counted in pulses_sent but their detector
-outcomes are not tabulated (they are discarded at sifting).
+outcomes are not tabulated (they are discarded at sifting).  The law reads
+only the class mus, the two channels and the detector, so it is computed once
+per distinct set of these and kept read-only; sessions that differ only in
+seed, pulses or mode reuse it and pay only for their draws.
 
 Random mode makes one multinomial draw over 144 cells x 8 outcomes: the
 seven columns plus "not tallied", which holds a mismatched-basis cell's
@@ -22,6 +25,7 @@ and state codes (sa, sb) in H=0, V=1, +45=2, -45=3.  The flat cell index is
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -142,8 +146,8 @@ class CountTables:
     columns ordered as COUNT_COLUMNS.  Click counts are tabulated only for
     agreeing-basis cells; mismatched-basis cells carry pulses_sent but
     all-zero counts.  Construction refuses any table that the counts file
-    format could not write, and every other table reads back unchanged except
-    one whose cell counts exceed its pulses_sent, which parse_counts refuses.
+    format could not write or read back, such as a cell whose counts sum
+    above its pulses_sent, and every other table reads back unchanged.
     """
 
     class_labels: tuple[str, str, str]
@@ -181,8 +185,13 @@ class CountTables:
             raise ParameterError(
                 f"counts must have shape (3, 3, 4, 4, 7), got {self.counts.shape!r}"
             )
-        if self.pulses_sent.min() < 0 or self.counts.min() < 0:
+        cells = np.concatenate((self.pulses_sent[..., None], self.counts), axis=-1)
+        if cells.min() < 0:
             raise ParameterError("pulses_sent and counts must be non-negative")
+        # The running remainders pulses_sent - c12 - c34 - ... of a cell are
+        # exact in int64 down to the first negative one, which is all this reads.
+        if np.subtract.accumulate(cells, axis=-1).min() < 0:
+            raise ParameterError("a cell's counts must not sum above its pulses_sent")
         if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ParameterError(
                 f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
@@ -209,6 +218,11 @@ class CountTables:
         )
 
 
+# Outcome laws kept, one per distinct (class mus, channels, detector); each is
+# 144 x 8 float64, about 9 KB.
+_LAW_CACHE_SIZE = 64
+
+
 def _outcome_law(config: SessionConfig) -> np.ndarray:
     """P(outcome | prepared cell), shape (144, 8).
 
@@ -217,13 +231,29 @@ def _outcome_law(config: SessionConfig) -> np.ndarray:
     state to its orthogonal partner in the same basis (sop ^ 1) before the
     analyzer, so an agreeing cell's column law mixes the analyzer responses
     of the four flip combinations.
+
+    It is computed once per distinct (class mus, channels, detector), and
+    every session with those shares the one read-only array.
     """
-    mus_a = np.array([attenuate(c.mu, config.channel_a.loss_db) for c in config.classes])
-    mus_b = np.array([attenuate(c.mu, config.channel_b.loss_db) for c in config.classes])
-    overlap = config.channel_a.temporal_overlap * config.channel_b.temporal_overlap
+    return _channel_law(
+        tuple(c.mu for c in config.classes), config.channel_a, config.channel_b, config.detector
+    )
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _channel_law(
+    mus: tuple[float, float, float],
+    channel_a: ChannelModel,
+    channel_b: ChannelModel,
+    detector: DetectorModel,
+) -> np.ndarray:
+    """_outcome_law computed from the fields it reads, one cache entry per key."""
+    mus_a = np.array([attenuate(mu, channel_a.loss_db) for mu in mus])
+    mus_b = np.array([attenuate(mu, channel_b.loss_db) for mu in mus])
+    overlap = channel_a.temporal_overlap * channel_b.temporal_overlap
     ia, ib, sa, sb = np.nonzero(_AGREE)
     probs = _pattern_table(
-        mus_a[ia], mus_b[ib], _CODE_AMPS_A[sa], _CODE_AMPS_B[sb], overlap, config.detector
+        mus_a[ia], mus_b[ib], _CODE_AMPS_A[sa], _CODE_AMPS_B[sb], overlap, detector
     )
     seen = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS + 1))
     seen[~_AGREE, N_COLUMNS] = 1.0
@@ -231,15 +261,17 @@ def _outcome_law(config: SessionConfig) -> np.ndarray:
     seen[_AGREE, :N_COLUMNS] = (
         probs / probs.sum(axis=1, keepdims=True)
     ) @ np.eye(N_COLUMNS)[_FOLD]
-    mis_a = config.channel_a.misalignment
-    mis_b = config.channel_b.misalignment
+    mis_a = channel_a.misalignment
+    mis_b = channel_b.misalignment
     sops = np.arange(N_SOPS)
     law = np.zeros_like(seen)
     for flip_a, weight_a in ((0, 1.0 - mis_a), (1, mis_a)):
         for flip_b, weight_b in ((0, 1.0 - mis_b), (1, mis_b)):
             law += weight_a * weight_b * seen[:, :, sops ^ flip_a][:, :, :, sops ^ flip_b]
     law = law.reshape(N_CELLS, N_COLUMNS + 1)
-    return law / law.sum(axis=1, keepdims=True)
+    law = law / law.sum(axis=1, keepdims=True)
+    law.flags.writeable = False
+    return law
 
 
 def _preparation_law(config: SessionConfig) -> np.ndarray:

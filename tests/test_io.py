@@ -90,6 +90,17 @@ def test_counts_tables_that_construct_round_trip() -> None:
     negative[1, 2, 3, 0] = -1
     negative_counts = tables.counts.copy()
     negative_counts[0, 0, 2, 2, 6] = -5
+    over_full = tables.counts.copy()
+    over_full[0, 0, 0, 1, 6] += tables.pulses_sent[0, 0, 0, 1] - tables.counts[0, 0, 0, 1].sum() + 1
+    # One cell at the int64 top: pulses and "other" both 2**63 - 1 fill it
+    # exactly, and one more full column would wrap an int64 sum of the counts.
+    top = 2**63 - 1
+    top_pulses = tables.pulses_sent.copy()
+    top_pulses[2, 2, 0, 0] = top
+    top_counts = tables.counts.copy()
+    top_counts[2, 2, 0, 0] = [0, 0, 0, 0, 0, 0, top]
+    wrapped_counts = top_counts.copy()
+    wrapped_counts[2, 2, 0, 0, 4] = top
     good = {
         "class_labels": [("a", "b", "c"), ("\u00e9t\u00e9", "x#y", "r")],
         "class_mus": [(1e300, 1e-300, 5e-324), (-0.0, 0.0, 0.0)],
@@ -106,16 +117,18 @@ def test_counts_tables_that_construct_round_trip() -> None:
         "pulses_total": [-1],
         "mode": ["", " random", "a b", "random\n", "x\x85"],
         "pulses_sent": [negative],
-        "counts": [negative_counts],
+        "counts": [negative_counts, over_full],
     }
-    for key, values in good.items():
-        for value in values:
-            built = CountTables(**{**fields, key: value})
-            assert parse_counts(format_counts(built)) == built, (key, value)
-    for key, values in bad.items():
-        for value in values:
-            with pytest.raises(ParameterError):
-                CountTables(**{**fields, key: value})
+    good_cases = [{key: value} for key, values in good.items() for value in values]
+    good_cases.append({"pulses_sent": top_pulses, "counts": top_counts})
+    bad_cases = [{key: value} for key, values in bad.items() for value in values]
+    bad_cases.append({"pulses_sent": top_pulses, "counts": wrapped_counts})
+    for overrides in good_cases:
+        built = CountTables(**{**fields, **overrides})
+        assert parse_counts(format_counts(built)) == built, overrides
+    for overrides in bad_cases:
+        with pytest.raises(ParameterError):
+            CountTables(**{**fields, **overrides})
 
 
 def test_counts_round_trip_bytes() -> None:

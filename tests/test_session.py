@@ -15,7 +15,14 @@ from mdiqkd.bsa import (
     DetectorModel,
     coherent_click_probs,
 )
-from mdiqkd.optics import ChannelModel, ParameterError, SOP_BY_CODE, attenuate, standard_classes
+from mdiqkd.optics import (
+    ChannelModel,
+    IntensityClass,
+    ParameterError,
+    SOP_BY_CODE,
+    attenuate,
+    standard_classes,
+)
 from mdiqkd.session import (
     COUNT_COLUMNS,
     CountTables,
@@ -234,8 +241,14 @@ def test_table_sampler_matches_per_gate_reference(mode) -> None:
         assert statistic < threshold, (mode, seed, statistic, threshold)
 
 
-def count_analyzer_calls(monkeypatch) -> list:
-    """Count batch evaluations in session; fail on any scalar analyzer call."""
+@pytest.fixture
+def count_analyzer_calls(monkeypatch):
+    """Count batch evaluations in session; fail on any scalar analyzer call.
+
+    The outcome-law cache is cleared before and after, so a law built under
+    the patch never reaches another test.
+    """
+    mdiqkd.session._channel_law.cache_clear()
     calls = []
     real_table = mdiqkd.session._pattern_table
 
@@ -249,14 +262,81 @@ def count_analyzer_calls(monkeypatch) -> list:
     monkeypatch.setattr(mdiqkd.session, "_pattern_table", counting_table)
     monkeypatch.setattr(mdiqkd.bsa, "coherent_click_probs", scalar_call)
     monkeypatch.setattr(mdiqkd.session, "coherent_click_probs", scalar_call, raising=False)
-    return calls
+    yield calls
+    mdiqkd.session._channel_law.cache_clear()
 
 
 @pytest.mark.parametrize("mode", ["random", "sweep"])
-def test_run_session_evaluates_analyzer_once(monkeypatch, mode) -> None:
-    calls = count_analyzer_calls(monkeypatch)
-    run_session(make_config(pulses=10_000, mode=mode))
+def test_run_session_evaluates_analyzer_once(count_analyzer_calls, mode) -> None:
+    # The analyzer runs once per distinct (class mus, channels, detector):
+    # seed, pulses and mode reuse the law, and every physical field is a key.
+    calls = count_analyzer_calls
+    config = make_config(pulses=10_000, mode=mode)
+    run_session(config)
     assert len(calls) == 1
+    other_mode = "sweep" if mode == "random" else "random"
+    for same in (dict(seed=14), dict(pulses=777), dict(mode=other_mode, seed=0)):
+        run_session(dataclasses.replace(config, **same))
+    assert len(calls) == 1
+    link = config.channel_a
+    changes = [
+        dict(classes=standard_classes(0.6, 0.1)),
+        dict(classes=standard_classes(0.5, 0.2)),
+        *(
+            {side: dataclasses.replace(link, **field)}
+            for side in ("channel_a", "channel_b")
+            for field in (dict(loss_db=4.0), dict(misalignment=0.03), dict(temporal_overlap=0.9))
+        ),
+        dict(detector=dataclasses.replace(config.detector, efficiency=0.4)),
+        dict(detector=dataclasses.replace(config.detector, dark_prob=2e-5)),
+    ]
+    for expected, change in enumerate(changes, start=2):
+        run_session(dataclasses.replace(config, **change))
+        assert len(calls) == expected, change
+    run_session(config)
+    assert len(calls) == 1 + len(changes)
+
+
+def test_memoized_law_changes_no_table() -> None:
+    law = mdiqkd.session._outcome_law(make_config())
+    with pytest.raises(ValueError):
+        law[0, 0] = 0.5
+    assert mdiqkd.session._channel_law.cache_info().maxsize == mdiqkd.session._LAW_CACHE_SIZE
+    channels = [
+        dict(),
+        dict(channel_b=ChannelModel(loss_db=8.0, misalignment=0.01, temporal_overlap=0.8)),
+        dict(
+            classes=standard_classes(0.3, 0.05),
+            channel_a=ChannelModel(),
+            channel_b=ChannelModel(),
+            detector=DetectorModel(),
+        ),
+    ]
+    for mode in ("random", "sweep"):
+        for channel in channels:
+            config = make_config(pulses=100_003, mode=mode, **channel)
+            mdiqkd.session._channel_law.cache_clear()
+            cold = run_session(config)
+            assert run_session(config) == cold, (mode, channel)
+    # Keys that compare equal share one cache entry, so their laws, each built
+    # cold, must be the same bits.  The vacuum mu is the class mu that may be 0.
+    signal, decoy, _ = standard_classes()
+    pairs = [
+        (
+            dict(classes=(signal, decoy, IntensityClass("vacuum", -0.0))),
+            dict(classes=(signal, decoy, IntensityClass("vacuum", 0.0))),
+        ),
+        (dict(channel_a=ChannelModel(loss_db=-0.0)), dict(channel_a=ChannelModel(loss_db=0.0))),
+        (dict(classes=standard_classes(1, 0.1)), dict(classes=standard_classes(1.0, 0.1))),
+    ]
+    for first, second in pairs:
+        laws = []
+        for overrides in (first, second):
+            mdiqkd.session._channel_law.cache_clear()
+            laws.append(mdiqkd.session._outcome_law(make_config(**overrides)).tobytes())
+        assert laws[0] == laws[1], first
+        mdiqkd.session._outcome_law(make_config(**first))
+        assert mdiqkd.session._channel_law.cache_info().currsize == 1
 
 
 def test_sift_zeroes_mismatched_and_flags() -> None:
@@ -459,8 +539,8 @@ def test_hom_scan_matches_per_delay_reference(pulses: int) -> None:
         assert got.tobytes() == want.tobytes()
 
 
-def test_hom_scan_evaluates_analyzer_once(monkeypatch) -> None:
-    calls = count_analyzer_calls(monkeypatch)
+def test_hom_scan_evaluates_analyzer_once(count_analyzer_calls) -> None:
+    calls = count_analyzer_calls
     hom_scan(make_hom_config(pulses_per_point=1_000))
     assert len(calls) == 1
 
