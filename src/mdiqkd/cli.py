@@ -12,6 +12,7 @@ simulate, hom-scan and table1 load numpy only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -75,17 +76,13 @@ def _emit(text: str, path: str | None) -> None:
     _write_atomic(text, path)
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "pulses", None) is not None:
-        out["pulses"] = args.pulses
-    return out
+def _with_flags(config, **flags):
+    """config with each field whose flag was given (not None) set to the flag's value."""
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = load_session_config(args.config, strict=args.strict, overrides=_overrides(args))
+    config = _with_flags(load_session_config(args.config), seed=args.seed, pulses=args.pulses)
     tables = run_session(config, workers=args.workers)
     _emit(format_counts(tables), args.output)
     return EXIT_OK
@@ -93,7 +90,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     text, digest = read_text(args.counts)
-    tables = parse_counts(text, strict=args.strict, source=args.counts)
+    tables = parse_counts(text, source=args.counts)
     result = analyze(tables, truncation=args.truncation, f_ec=args.f_ec)
     report = ResultReport(result=result, input_sha256=digest, seed=tables.seed)
     _emit(format_report(report), args.output)
@@ -102,7 +99,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     text, digest = read_text(args.gains)
-    matrices = parse_gains(text, strict=args.strict, source=args.gains)
+    matrices = parse_gains(text, source=args.gains)
     result = analyze_matrices(matrices, truncation=args.truncation, f_ec=args.f_ec)
     report = ResultReport(result=result, input_sha256=digest)
     _emit(format_report(report), args.output)
@@ -110,7 +107,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_hom_scan(args: argparse.Namespace) -> int:
-    config = load_hom_config(args.config, strict=args.strict, overrides=_overrides(args))
+    config = _with_flags(load_hom_config(args.config), seed=args.seed, pulses_per_point=args.pulses)
     result = hom_scan(config)
     _emit(format_hom_table(result), args.output)
     return EXIT_OK
@@ -149,9 +146,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _add_common_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="write to this file instead of stdout")
-    sub.add_argument(
-        "--strict", action="store_true", help="reject unknown fields instead of warning"
-    )
 
 
 def _add_bound_options(sub: argparse.ArgumentParser) -> None:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import BASIS_LABELS, ParameterError, poisson_pmf
+from .optics import BASIS_LABELS, ParameterError, check_intensities, poisson_pmf
 from .session import COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
@@ -104,13 +104,7 @@ class GainErrorMatrices:
     def __post_init__(self) -> None:
         if len(self.mus) != 3:
             raise ParameterError(f"mus must have 3 entries, got {self.mus!r}")
-        signal, decoy, vacuum = self.mus
-        if vacuum != 0.0:
-            raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")
-        if not math.inf > signal > decoy > 0.0:
-            raise ParameterError(
-                f"intensities must be finite and satisfy signal > decoy > 0, got {self.mus!r}"
-            )
+        check_intensities(self.mus)
         for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
             setattr(self, name, checked_matrix(name, getattr(self, name)))
 

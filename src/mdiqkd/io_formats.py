@@ -16,9 +16,11 @@ key's default is the dataclass default, and its value is parsed by that
 default's type.  Scan configs also take a delays.start_ns / delays.stop_ns /
 delays.points grid.
 
-Unknown header keys and unknown config keys raise in strict mode and warn
-otherwise.  Structural problems (bad version, duplicate keys or cells,
-malformed rows) always raise FormatError with file and line context.
+An unknown header key in a data file warns, so that a file written by a
+later minor version still loads.  An unknown config key raises FormatError:
+config files carry no version, so such a key can only be a typo.  Structural
+problems (bad version, duplicate keys or cells, malformed rows) raise
+FormatError too, each with file and line context.
 """
 
 from __future__ import annotations
@@ -163,15 +165,15 @@ def _render(format_name: str, header, rows, version: str = FORMAT_VERSION) -> st
 
 
 def _read_data_file(
-    text: str, format_name: str, keys: tuple[str, ...], columns: str, strict: bool, source: str
+    text: str, format_name: str, keys: tuple[str, ...], columns: str, source: str
 ) -> tuple[dict[str, tuple[str, str]], list[tuple[str, list[str]]]]:
     """Split data-file text into its header values and data rows.
 
     The header is the "key: value" lines from the format line through the
     columns line; every later content line is a data row.  Checks the format
-    name and major version, duplicate keys (unknown ones included), unknown
-    keys (an error if strict, else a warning), that each of keys is present
-    and that the columns line reads columns.
+    name and major version, duplicate keys (unknown ones included), that each
+    of keys is present and that the columns line reads columns.  An unknown
+    key only warns: a later minor version may add keys.
 
     Returns (header, rows): header maps each key read to (value,
     "source:line"), and rows lists ("source:line", whitespace-split fields)
@@ -196,10 +198,7 @@ def _read_data_file(
         elif key == "columns":
             break
         elif key not in keys:
-            message = f"{where}: unknown header key {key!r}"
-            if strict:
-                raise FormatError(message)
-            _warnings.warn(message, stacklevel=3)
+            _warnings.warn(f"{where}: unknown header key {key!r}", stacklevel=3)
     if not header:
         raise FormatError(f"{source}: {first_line}")
     if "columns" not in header:
@@ -243,10 +242,10 @@ def format_counts(tables: CountTables) -> str:
     return _render(COUNTS_FORMAT, header, rows)
 
 
-def parse_counts(text: str, strict: bool = False, source: str = "<string>") -> CountTables:
+def parse_counts(text: str, *, source: str = "<string>") -> CountTables:
     """Parse counts-file text into CountTables."""
     header, rows = _read_data_file(
-        text, COUNTS_FORMAT, _COUNTS_HEADER_KEYS, _COUNTS_COLUMNS_LINE, strict, source
+        text, COUNTS_FORMAT, _COUNTS_HEADER_KEYS, _COUNTS_COLUMNS_LINE, source
     )
     value, where = header["classes"]
     labels: list[str] = []
@@ -320,9 +319,9 @@ def save_counts(tables: CountTables, path: str) -> None:
     _write_atomic(format_counts(tables), path)
 
 
-def load_counts(path: str, strict: bool = False) -> CountTables:
+def load_counts(path: str) -> CountTables:
     """Read a counts file."""
-    return parse_counts(read_text(path)[0], strict=strict, source=path)
+    return parse_counts(read_text(path)[0], source=path)
 
 
 # Gain/error tables.
@@ -338,13 +337,9 @@ def format_gains(matrices: GainErrorMatrices) -> str:
     return _render(GAINS_FORMAT, [("mus", " ".join(mus)), ("columns", _GAINS_COLUMNS_LINE)], rows)
 
 
-def parse_gains(
-    text: str, strict: bool = False, source: str = "<string>"
-) -> GainErrorMatrices:
+def parse_gains(text: str, *, source: str = "<string>") -> GainErrorMatrices:
     """Parse gain-table text into GainErrorMatrices."""
-    header, rows = _read_data_file(
-        text, GAINS_FORMAT, ("mus",), _GAINS_COLUMNS_LINE, strict, source
-    )
+    header, rows = _read_data_file(text, GAINS_FORMAT, ("mus",), _GAINS_COLUMNS_LINE, source)
     value, where = header["mus"]
     mus = [_parse_float(t, where) for t in value.split()]
     if len(mus) != 3:
@@ -382,9 +377,9 @@ def save_gains(matrices: GainErrorMatrices, path: str) -> None:
     _write_atomic(format_gains(matrices), path)
 
 
-def load_gains(path: str, strict: bool = False) -> GainErrorMatrices:
+def load_gains(path: str) -> GainErrorMatrices:
     """Read a gain-table file."""
-    return parse_gains(read_text(path)[0], strict=strict, source=path)
+    return parse_gains(read_text(path)[0], source=path)
 
 
 # Analysis reports.
@@ -502,9 +497,7 @@ def _with_values(default, values: dict[str, object], prefix: str = ""):
     return dataclasses.replace(default, **changes)
 
 
-def _read_config(
-    text: str, source: str, strict: bool, defaults: dict[str, object]
-) -> dict[str, object]:
+def _read_config(text: str, source: str, defaults: dict[str, object]) -> dict[str, object]:
     """Parse config text into values for the keys it sets.
 
     Each value is parsed by the type of its key's default: int, float, str,
@@ -521,11 +514,7 @@ def _read_config(
         if key in values:
             raise FormatError(f"{where}: duplicate key {key!r}")
         if key not in defaults:
-            message = f"{where}: unknown config key {key!r}"
-            if strict:
-                raise FormatError(message)
-            _warnings.warn(message, stacklevel=3)
-            continue
+            raise FormatError(f"{where}: unknown config key {key!r}")
         context = f"{where} ({key})"
         default = defaults[key]
         if isinstance(default, tuple):
@@ -539,65 +528,37 @@ def _read_config(
     return values
 
 
-def _build_config(
-    default, values: dict[str, object], overrides: dict | None, pulses_key: str, source: str
-):
-    """Apply the "pulses" and "seed" overrides to values, then build the config."""
-    for flag, key in (("pulses", pulses_key), ("seed", "seed")):
-        if flag in (overrides or {}):
-            values[key] = int(overrides[flag])
+def parse_session_config(text: str, *, source: str = "<string>") -> SessionConfig:
+    """Build a SessionConfig from config text.
+
+    Keys not in the text keep their SessionConfig defaults.
+    """
+    default = SessionConfig()
+    values = _read_config(text, source, _config_defaults(default))
     try:
         return _with_values(default, values)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def parse_session_config(
-    text: str,
-    strict: bool = False,
-    source: str = "<string>",
-    overrides: dict | None = None,
-) -> SessionConfig:
-    """Build a SessionConfig from config text plus optional field overrides.
-
-    Keys not in the text keep their SessionConfig defaults.  overrides maps a
-    subset of {"pulses", "seed"} to values taking precedence over the file,
-    for command-line flags.
-    """
-    default = SessionConfig()
-    values = _read_config(text, source, strict, _config_defaults(default))
-    return _build_config(default, values, overrides, "pulses", source)
-
-
-def load_session_config(
-    path: str, strict: bool = False, overrides: dict | None = None
-) -> SessionConfig:
+def load_session_config(path: str) -> SessionConfig:
     """Read a session config file."""
-    return parse_session_config(read_text(path)[0], strict=strict, source=path, overrides=overrides)
+    return parse_session_config(read_text(path)[0], source=path)
 
 
-def parse_hom_config(
-    text: str,
-    strict: bool = False,
-    source: str = "<string>",
-    overrides: dict | None = None,
-) -> HomScanConfig:
-    """Build a HomScanConfig from config text plus optional field overrides.
+def parse_hom_config(text: str, *, source: str = "<string>") -> HomScanConfig:
+    """Build a HomScanConfig from config text.
 
     Keys not in the text keep their HomScanConfig defaults.  The delay grid
     comes either from an explicit delays_ns list or from a delays.start_ns /
     delays.stop_ns / delays.points triple, not both; a partial triple takes
-    the rest from DEFAULT_DELAY_GRID.  overrides maps a subset of
-    {"pulses", "seed"} to values taking precedence over the file; "pulses"
-    sets pulses_per_point.
+    the rest from DEFAULT_DELAY_GRID.
     """
     default = HomScanConfig()
     grid_defaults = dict(
         zip(("delays.start_ns", "delays.stop_ns", "delays.points"), DEFAULT_DELAY_GRID)
     )
-    values = _read_config(
-        text, source, strict, {**_config_defaults(default), **grid_defaults}
-    )
+    values = _read_config(text, source, {**_config_defaults(default), **grid_defaults})
     if any(key in values for key in grid_defaults):
         if "delays_ns" in values:
             raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
@@ -605,11 +566,12 @@ def parse_hom_config(
         if points < 2:
             raise FormatError(f"{source}: delays.points must be >= 2, got {points}")
         values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
-    return _build_config(default, values, overrides, "pulses_per_point", source)
+    try:
+        return _with_values(default, values)
+    except ParameterError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
 
 
-def load_hom_config(
-    path: str, strict: bool = False, overrides: dict | None = None
-) -> HomScanConfig:
+def load_hom_config(path: str) -> HomScanConfig:
     """Read an interference-scan config file."""
-    return parse_hom_config(read_text(path)[0], strict=strict, source=path, overrides=overrides)
+    return parse_hom_config(read_text(path)[0], source=path)

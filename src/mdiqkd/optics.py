@@ -137,24 +137,24 @@ def standard_classes(
 def validate_classes(
     classes: tuple[IntensityClass, IntensityClass, IntensityClass]
 ) -> None:
-    """Check the (signal, decoy, vacuum) ordering contract.
-
-    The vacuum class must have mu exactly 0, and signal.mu > decoy.mu > 0.
-    """
+    """Check the (signal, decoy, vacuum) contract: three distinct labels and
+    the check_intensities rule on their mus."""
     if len(classes) != 3:
         raise ParameterError(f"expected exactly 3 intensity classes, got {len(classes)}")
     labels = [c.label for c in classes]
     if len(set(labels)) != 3:
         raise ParameterError(f"intensity class labels must be distinct, got {labels!r}")
-    signal, decoy, vacuum = classes
-    if vacuum.mu != 0.0:
+    check_intensities(tuple(c.mu for c in classes))
+
+
+def check_intensities(mus: tuple[float, float, float]) -> None:
+    """Check a (signal, decoy, vacuum) mu triple: vacuum exactly 0, finite signal > decoy > 0."""
+    signal, decoy, vacuum = mus
+    if vacuum != 0.0:
+        raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")
+    if not math.inf > signal > decoy > 0.0:
         raise ParameterError(
-            f"vacuum class must have mu exactly 0, got {vacuum.mu!r}"
-        )
-    if not signal.mu > decoy.mu > 0.0:
-        raise ParameterError(
-            "intensity classes must satisfy signal.mu > decoy.mu > 0, got "
-            f"{signal.mu!r} and {decoy.mu!r}"
+            f"intensities must be finite and satisfy signal > decoy > 0, got {mus!r}"
         )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from test_decoy import (
 )
 
 import mdiqkd
+from mdiqkd import cli
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
@@ -27,7 +29,7 @@ from mdiqkd.io_formats import (
     save_counts,
     save_gains,
 )
-from mdiqkd.session import CountTables, run_session
+from mdiqkd.session import CountTables, HomScanConfig, hom_scan, run_session
 
 SESSION_CONFIG = "\n".join(
     [
@@ -411,7 +413,8 @@ def test_hom_scan_cli_deterministic(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
-def test_strict_header_flag(tmp_path, capsys) -> None:
+def test_unknown_header_key_warns_and_strict_is_an_unknown_flag(tmp_path, capsys) -> None:
+    # A later minor version may add header keys, so an unknown one only warns.
     counts_path = tmp_path / "counts.txt"
     save_counts(synthetic_feasible_tables(), str(counts_path))
     text = counts_path.read_text(encoding="utf-8")
@@ -420,8 +423,42 @@ def test_strict_header_flag(tmp_path, capsys) -> None:
     )
     with pytest.warns(UserWarning, match="operator"):
         assert main(["analyze", str(counts_path)]) == 0
+    assert capsys.readouterr().err == ""
     assert main(["analyze", str(counts_path), "--strict"]) == 1
-    assert "operator" in capsys.readouterr().err
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+def test_misspelt_config_key_exits_one(tmp_path, capsys) -> None:
+    out = tmp_path / "out.txt"
+    for command, text in (
+        ("simulate", "pulses = 20000\nchannel_a.los_db = 19.5\n"),
+        ("hom-scan", "delays_ns = 0.0\nmu_a = 0.2\n"),
+    ):
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert main([command, str(config), "--output", str(out)]) == 1
+        key = text.splitlines()[1].split(" = ")[0]
+        assert capsys.readouterr().err == f"error: {config}:2: unknown config key {key!r}\n"
+        assert not out.exists()
+
+
+def test_hom_scan_flags_set_the_scan_config(tmp_path, monkeypatch, capsys) -> None:
+    config = tmp_path / "hom.cfg"
+    config.write_text("delays_ns = -1.0 0.0 1.0\nseed = 3\n", encoding="utf-8")
+    seen = []
+
+    def fake_scan(scan_config):
+        seen.append(scan_config)
+        return hom_scan(dataclasses.replace(scan_config, pulses_per_point=10))
+
+    monkeypatch.setattr(cli, "hom_scan", fake_scan)
+    assert main(["hom-scan", str(config), "--pulses", "5000", "--seed", "8"]) == 0
+    assert main(["hom-scan", str(config)]) == 0
+    capsys.readouterr()
+    flagged, plain = seen
+    assert (flagged.pulses_per_point, flagged.seed) == (5_000, 8)
+    assert (plain.pulses_per_point, plain.seed) == (HomScanConfig().pulses_per_point, 3)
+    assert flagged.delays_ns == plain.delays_ns == (-1.0, 0.0, 1.0)
 
 
 def test_bad_truncation_flag(tmp_path, capsys) -> None:
