@@ -36,6 +36,8 @@ from .optics import SOP_BY_CODE, ParameterError, PolarizationState
 DIST_TOL = 1e-9
 MAX_FOCK_PHOTONS = 4
 PATTERN_COUNT = 16
+# Sanity ceiling of a detector's dark-count probability per gate.
+MAX_DARK_PROB = 0.01
 
 # Pattern index encodes detector d (1-based) as bit d-1.
 COINCIDENCE_PATTERNS: dict[str, int] = {
@@ -61,26 +63,20 @@ class DetectorModel:
     Attributes:
         efficiency: detection efficiency in (0, 1].
         dark_prob: dark-count probability per gate per detector, in
-            [0, max_dark_prob).
-        max_dark_prob: sanity ceiling for dark_prob, default 0.01.
+            [0, MAX_DARK_PROB).
     """
 
     efficiency: float = 1.0
     dark_prob: float = 0.0
-    max_dark_prob: float = 0.01
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:
             raise ParameterError(
                 f"efficiency must lie in (0, 1], got {self.efficiency!r}"
             )
-        if not 0.0 < self.max_dark_prob <= 1.0:
+        if not 0.0 <= self.dark_prob < MAX_DARK_PROB:
             raise ParameterError(
-                f"max_dark_prob must lie in (0, 1], got {self.max_dark_prob!r}"
-            )
-        if not 0.0 <= self.dark_prob < self.max_dark_prob:
-            raise ParameterError(
-                f"dark_prob must lie in [0, {self.max_dark_prob!r}), got {self.dark_prob!r}"
+                f"dark_prob must lie in [0, {MAX_DARK_PROB!r}), got {self.dark_prob!r}"
             )
 
 
@@ -117,13 +113,6 @@ class BsaResponse:
         if np.any(probs < -DIST_TOL) or abs(float(probs.sum()) - 1.0) > DIST_TOL:
             raise ParameterError("pattern_probs must be a probability distribution")
         object.__setattr__(self, "pattern_probs", np.clip(probs, 0.0, None))
-
-    @property
-    def marginals(self) -> np.ndarray:
-        """Per-detector click probabilities implied by the pattern distribution."""
-        return np.array(
-            [float(self.pattern_probs[_BITS[:, d]].sum()) for d in range(4)]
-        )
 
 
 def psi_probs(pattern_probs) -> np.ndarray:
@@ -235,7 +224,7 @@ def coherent_click_probs(inp: BsaInput, detector: DetectorModel) -> BsaResponse:
         detector: detector model applied identically to all four detectors.
 
     Returns:
-        BsaResponse over the 16 click patterns (marginals derivable from it).
+        BsaResponse over the 16 click patterns.
     """
     amp_a, amp_b = _detector_amplitudes(inp.sop_a, inp.sop_b)
     probs = _pattern_table(inp.mu_a, inp.mu_b, amp_a, amp_b, inp.overlap, detector)

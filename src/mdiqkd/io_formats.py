@@ -14,7 +14,7 @@ HomScanConfig, with dotted names for nested fields (for example
 channel_a.loss_db) and classes.<label> for an intensity class's mu; each
 key's default is the dataclass default, and its value is parsed by that
 default's type.  Scan configs also take a delays.start_ns / delays.stop_ns /
-delays.points grid.
+delays.points grid of at most MAX_DELAY_POINTS points.
 
 An unknown header key in a data file warns, so that a file written by a
 later minor version still loads.  An unknown config key raises FormatError:
@@ -37,6 +37,7 @@ from .optics import ParameterError
 from .session import (
     COUNT_COLUMNS,
     DEFAULT_DELAY_GRID,
+    MAX_DELAY_POINTS,
     N_CLASSES,
     N_COLUMNS,
     N_SOPS,
@@ -314,11 +315,6 @@ def parse_counts(text: str, *, source: str = "<string>") -> CountTables:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def save_counts(tables: CountTables, path: str) -> None:
-    """Write count tables in canonical form."""
-    _write_atomic(format_counts(tables), path)
-
-
 def load_counts(path: str) -> CountTables:
     """Read a counts file."""
     return parse_counts(read_text(path)[0], source=path)
@@ -372,16 +368,6 @@ def parse_gains(text: str, *, source: str = "<string>") -> GainErrorMatrices:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def save_gains(matrices: GainErrorMatrices, path: str) -> None:
-    """Write gain and error matrices in canonical form."""
-    _write_atomic(format_gains(matrices), path)
-
-
-def load_gains(path: str) -> GainErrorMatrices:
-    """Read a gain-table file."""
-    return parse_gains(read_text(path)[0], source=path)
-
-
 # Analysis reports.
 
 
@@ -425,11 +411,6 @@ def format_report(report: ResultReport) -> str:
         for k, message in enumerate(result.warnings, start=1)
     ]
     return _render(REPORT_FORMAT, header, (), REPORT_VERSION)
-
-
-def save_report(report: ResultReport, path: str) -> None:
-    """Write an analysis report in canonical form."""
-    _write_atomic(format_report(report), path)
 
 
 # Interference-scan tables.
@@ -563,8 +544,10 @@ def parse_hom_config(text: str, *, source: str = "<string>") -> HomScanConfig:
         if "delays_ns" in values:
             raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
         start, stop, points = (values.pop(key, value) for key, value in grid_defaults.items())
-        if points < 2:
-            raise FormatError(f"{source}: delays.points must be >= 2, got {points}")
+        if not 2 <= points <= MAX_DELAY_POINTS:
+            raise FormatError(
+                f"{source}: delays.points must lie in [2, {MAX_DELAY_POINTS}], got {points}"
+            )
         values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
     try:
         return _with_values(default, values)

@@ -212,11 +212,6 @@ class CountTables:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def copy(self) -> "CountTables":
-        return dataclasses.replace(
-            self, pulses_sent=self.pulses_sent.copy(), counts=self.counts.copy()
-        )
-
 
 # Outcome laws kept, one per distinct (class mus, channels, detector); each is
 # 144 x 8 float64, about 9 KB.
@@ -316,17 +311,10 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
     )
 
 
-def sift(tables: CountTables) -> CountTables:
-    """Drop mismatched-basis cells, keeping agreeing-basis pulses and counts."""
-    out = tables.copy()
-    out.pulses_sent[~_AGREE] = 0
-    out.counts[~_AGREE] = 0
-    out.sifted = True
-    return out
-
-
 # Default delay grid of an interference scan: start_ns, stop_ns, points.
 DEFAULT_DELAY_GRID = (-3.0, 3.0, 49)
+# Most delays one interference scan takes, whether listed or gridded.
+MAX_DELAY_POINTS = 100_000
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -339,7 +327,8 @@ class HomScanConfig:
 
     Every field has a default, and these defaults are the scan config file's
     defaults: an empty config file gives HomScanConfig().  The default
-    delays_ns spans DEFAULT_DELAY_GRID evenly.
+    delays_ns spans DEFAULT_DELAY_GRID evenly; it holds at most
+    MAX_DELAY_POINTS delays.
     """
 
     mu: float = 0.1
@@ -355,6 +344,10 @@ class HomScanConfig:
         if not 0.0 < self.pulse_width_ns < math.inf:
             raise ParameterError(
                 f"pulse_width_ns must be finite and > 0, got {self.pulse_width_ns!r}"
+            )
+        if len(self.delays_ns) > MAX_DELAY_POINTS:
+            raise ParameterError(
+                f"delays_ns must hold at most {MAX_DELAY_POINTS} delays, got {len(self.delays_ns)}"
             )
         if not self.delays_ns or any(not math.isfinite(t) for t in self.delays_ns):
             raise ParameterError("delays_ns must be a non-empty tuple of finite floats")

@@ -18,8 +18,9 @@ versions the corpus was written with.
 The inputs are fixed test data:
 
 * `session.cfg`, `sweep.cfg`, `hom.cfg`: session and scan configs;
-* `misspelt.cfg` (the key `channel_a.los_db`) and `bad_classes.cfg` (a decoy
-  brighter than the signal): configs the reader refuses;
+* `misspelt.cfg` (the key `channel_a.los_db`), `bad_classes.cfg` (a decoy
+  brighter than the signal) and `huge_grid.cfg` (a scan grid of 10**15
+  delays): configs the reader refuses;
 * `feasible_counts.txt`: `format_counts` of `synthetic_feasible_tables()`
   from `tests/test_cli.py`, and `extra_key_counts.txt`, the same with an
   unknown `operator: alice` header line;
@@ -71,6 +72,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "refuse-unknown-config-key": ("simulate", "misspelt.cfg", "--output", OUTPUT),
     "refuse-intensities": ("simulate", "bad_classes.cfg", "--output", OUTPUT),
     "refuse-seed-flag": ("simulate", "session.cfg", "--seed", "-1", "--output", OUTPUT),
+    "refuse-hom-grid": ("hom-scan", "huge_grid.cfg", "--output", OUTPUT),
 }
 
 

@@ -24,10 +24,11 @@ from mdiqkd import cli
 from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices
 from mdiqkd.io_formats import (
+    _write_atomic,
+    format_counts,
+    format_gains,
     load_session_config,
     parse_counts,
-    save_counts,
-    save_gains,
 )
 from mdiqkd.session import CountTables, HomScanConfig, hom_scan, run_session
 
@@ -89,16 +90,14 @@ def synthetic_feasible_tables() -> CountTables:
 
 def reference_gains_path(tmp_path) -> str:
     path = str(tmp_path / "reference_gains.txt")
-    save_gains(
-        GainErrorMatrices(
-            mus=REFERENCE_MUS,
-            q_rect=REFERENCE_Q_RECT.copy(),
-            q_diag=REFERENCE_Q_DIAG.copy(),
-            e_rect=REFERENCE_E_RECT.copy(),
-            e_diag=REFERENCE_E_DIAG.copy(),
-        ),
-        path,
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS,
+        q_rect=REFERENCE_Q_RECT.copy(),
+        q_diag=REFERENCE_Q_DIAG.copy(),
+        e_rect=REFERENCE_E_RECT.copy(),
+        e_diag=REFERENCE_E_DIAG.copy(),
     )
+    _write_atomic(format_gains(matrices), path)
     return path
 
 
@@ -165,13 +164,11 @@ def test_only_bounding_subcommands_load_scipy(tmp_path) -> None:
 
     gains = 1.0 - np.exp(-1e-3 * np.add.outer(REFERENCE_MUS, REFERENCE_MUS))
     gains_path = str(tmp_path / "gains.txt")
-    save_gains(
-        GainErrorMatrices(
-            mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
-            e_rect=np.full((3, 3), 0.03), e_diag=np.full((3, 3), 0.04),
-        ),
-        gains_path,
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
+        e_rect=np.full((3, 3), 0.03), e_diag=np.full((3, 3), 0.04),
     )
+    _write_atomic(format_gains(matrices), gains_path)
     code, modules = probe("rate", gains_path, "--output", "report.txt")
     assert code == 0
     assert "scipy.optimize" in modules
@@ -290,7 +287,7 @@ def test_simulate_to_stdout(tmp_path, capsys) -> None:
 
 def test_analyze_success_path(tmp_path, capsys) -> None:
     counts_path = str(tmp_path / "counts.txt")
-    save_counts(synthetic_feasible_tables(), counts_path)
+    _write_atomic(format_counts(synthetic_feasible_tables()), counts_path)
     report_a = tmp_path / "report_a.txt"
     report_b = tmp_path / "report_b.txt"
     assert main(["analyze", counts_path, "--output", str(report_a)]) == 0
@@ -329,7 +326,7 @@ def test_analyze_counts_above_pulses_exits_one(tmp_path, capsys) -> None:
     # Extra "other" tallies leave the gains unchanged, so only the reader can
     # tell that this row counts more gates than it sent.
     counts_path = tmp_path / "counts.txt"
-    save_counts(synthetic_feasible_tables(), str(counts_path))
+    _write_atomic(format_counts(synthetic_feasible_tables()), str(counts_path))
     lines = counts_path.read_text(encoding="utf-8").splitlines()
     index = next(k for k, line in enumerate(lines) if line.startswith("signal signal H V "))
     fields = lines[index].split()
@@ -357,7 +354,7 @@ def test_rate_degenerate_gains_exits_two(tmp_path, capsys) -> None:
     # so the error bound has nothing to divide by.
     zeros = np.zeros((3, 3))
     path = str(tmp_path / "gains.txt")
-    save_gains(GainErrorMatrices(REFERENCE_MUS, zeros, zeros, zeros, zeros), path)
+    _write_atomic(format_gains(GainErrorMatrices(REFERENCE_MUS, zeros, zeros, zeros, zeros)), path)
     report = tmp_path / "report.txt"
     assert main(["rate", path, "--output", str(report)]) == 2
     assert "too small" in capsys.readouterr().err
@@ -370,16 +367,14 @@ def test_rate_feasible_gains_exits_zero(tmp_path, capsys) -> None:
         for j, mu_j in enumerate(REFERENCE_MUS):
             gains[i, j] = 1.0 - math.exp(-1e-3 * (mu_i + mu_j))
     path = str(tmp_path / "gains.txt")
-    save_gains(
-        GainErrorMatrices(
-            mus=REFERENCE_MUS,
-            q_rect=gains,
-            q_diag=gains.copy(),
-            e_rect=np.full((3, 3), 0.03),
-            e_diag=np.full((3, 3), 0.04),
-        ),
-        path,
+    matrices = GainErrorMatrices(
+        mus=REFERENCE_MUS,
+        q_rect=gains,
+        q_diag=gains.copy(),
+        e_rect=np.full((3, 3), 0.03),
+        e_diag=np.full((3, 3), 0.04),
     )
+    _write_atomic(format_gains(matrices), path)
     report_a = tmp_path / "ra.txt"
     report_b = tmp_path / "rb.txt"
     assert main(["rate", path, "--output", str(report_a)]) == 0
@@ -416,7 +411,7 @@ def test_hom_scan_cli_deterministic(tmp_path, capsys) -> None:
 def test_unknown_header_key_warns_and_strict_is_an_unknown_flag(tmp_path, capsys) -> None:
     # A later minor version may add header keys, so an unknown one only warns.
     counts_path = tmp_path / "counts.txt"
-    save_counts(synthetic_feasible_tables(), str(counts_path))
+    _write_atomic(format_counts(synthetic_feasible_tables()), str(counts_path))
     text = counts_path.read_text(encoding="utf-8")
     counts_path.write_text(
         text.replace("columns:", "operator: alice\ncolumns:", 1), encoding="utf-8"
@@ -433,6 +428,8 @@ def test_misspelt_config_key_exits_one(tmp_path, capsys) -> None:
     for command, text in (
         ("simulate", "pulses = 20000\nchannel_a.los_db = 19.5\n"),
         ("hom-scan", "delays_ns = 0.0\nmu_a = 0.2\n"),
+        # The dark-count ceiling is a constant of the detector model.
+        ("simulate", "pulses = 20000\ndetector.max_dark_prob = 0.1\n"),
     ):
         config = tmp_path / f"{command}.cfg"
         config.write_text(text, encoding="utf-8")
@@ -463,7 +460,7 @@ def test_hom_scan_flags_set_the_scan_config(tmp_path, monkeypatch, capsys) -> No
 
 def test_bad_truncation_flag(tmp_path, capsys) -> None:
     counts_path = str(tmp_path / "counts.txt")
-    save_counts(synthetic_feasible_tables(), counts_path)
+    _write_atomic(format_counts(synthetic_feasible_tables()), counts_path)
     assert main(["analyze", counts_path, "--truncation", "0"]) == 1
     assert main(["analyze", counts_path, "--truncation", "-3"]) == 1
     assert main(["analyze", counts_path, "--truncation", "51"]) == 1

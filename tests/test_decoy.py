@@ -527,7 +527,7 @@ def test_gains_from_counts_exact() -> None:
     assert diag[0, 0] == pytest.approx(100 / 4 / 1000, rel=1e-12)
     with pytest.raises(ParameterError):
         gains_from_counts(tables, "circular")
-    empty = tables.copy()
+    empty = dataclasses.replace(tables, pulses_sent=tables.pulses_sent.copy())
     empty.pulses_sent[0, 0, 0, 0] = 0
     with pytest.raises(InsufficientCountsError, match=r"cell \(0, 0, 0, 0\)"):
         gains_from_counts(empty, "rect")

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli import synthetic_feasible_tables
 
 from mdiqkd.bsa import DetectorModel
+from mdiqkd.cli import main
 from mdiqkd.decoy import GainErrorMatrices, analyze_matrices
 from mdiqkd.io_formats import (
     FormatError,
@@ -22,26 +24,22 @@ from mdiqkd.io_formats import (
     format_hom_table,
     format_report,
     load_counts,
-    load_gains,
     load_session_config,
     parse_counts,
     parse_gains,
     parse_hom_config,
     parse_session_config,
     read_text,
-    save_counts,
-    save_gains,
-    save_report,
 )
-from mdiqkd.io_formats import _config_defaults
+from mdiqkd.io_formats import _config_defaults, _write_atomic
 from mdiqkd.optics import ChannelModel, ParameterError, standard_classes
 from mdiqkd.session import (
+    MAX_DELAY_POINTS,
     CountTables,
     HomScanConfig,
     SessionConfig,
     hom_scan,
     run_session,
-    sift,
 )
 
 
@@ -77,7 +75,12 @@ def geometric_matrices() -> GainErrorMatrices:
 def test_counts_round_trip_values() -> None:
     tables = small_tables()
     assert parse_counts(format_counts(tables)) == tables
-    sifted = sift(tables)
+    # The same tables with the mismatched-basis cells dropped, flagged as sifted.
+    codes = np.arange(4)
+    agree = (codes[:, None] >> 1) == (codes >> 1)
+    sifted = dataclasses.replace(
+        tables, pulses_sent=np.where(agree, tables.pulses_sent, 0), sifted=True
+    )
     assert parse_counts(format_counts(sifted)) == sifted
 
 
@@ -141,7 +144,7 @@ def test_counts_round_trip_bytes() -> None:
 def test_counts_file_round_trip(tmp_path) -> None:
     tables = small_tables()
     path = str(tmp_path / "counts.txt")
-    save_counts(tables, path)
+    _write_atomic(format_counts(tables), path)
     assert load_counts(path) == tables
     assert len(read_text(path)[1]) == 64
 
@@ -313,8 +316,8 @@ def test_gains_round_trip(tmp_path) -> None:
         assert np.array_equal(getattr(parsed, name), getattr(matrices, name))
     assert format_gains(parsed) == text
     path = str(tmp_path / "gains.txt")
-    save_gains(matrices, path)
-    loaded = load_gains(path)
+    _write_atomic(format_gains(matrices), path)
+    loaded = parse_gains(read_text(path)[0])
     assert np.array_equal(loaded.q_diag, matrices.q_diag)
 
 
@@ -344,7 +347,7 @@ def test_byte_order_mark_is_not_content(tmp_path) -> None:
 
     plain, marked = paths["counts"]
     assert load_counts(marked) == load_counts(plain)
-    plain, marked = (load_gains(path) for path in paths["gains"])
+    plain, marked = (parse_gains(read_text(path)[0]) for path in paths["gains"])
     assert marked.mus == plain.mus
     for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
         assert np.array_equal(getattr(marked, name), getattr(plain, name))
@@ -368,27 +371,37 @@ def test_gains_unknown_mu_and_bad_entries() -> None:
         parse_gains(bad)
 
 
-def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch) -> None:
-    # The rename is the last step of a save: when it fails, the temporary file
-    # is removed and an existing target keeps its old bytes.
-    matrices = geometric_matrices()
-    saves = (
-        (save_counts, small_tables()),
-        (save_gains, matrices),
-        (save_report, ResultReport(result=analyze_matrices(matrices))),
-    )
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch, capsys) -> None:
+    # The rename is the last step of every subcommand's --output write: when
+    # it fails, the command exits 1, the temporary file is removed and an
+    # existing target keeps its old bytes.
+    inputs = {
+        "session.cfg": "pulses = 20000\n",
+        "hom.cfg": "delays_ns = -1.0 0.0 1.0\npulses_per_point = 1000\n",
+        "counts.txt": format_counts(synthetic_feasible_tables()),
+        "gains.txt": format_gains(geometric_matrices()),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     old = tmp_path / "old.txt"
     old.write_text("previous\n", encoding="utf-8")
 
     def refuse(src, dst):
         raise OSError("rename refused")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(os, "replace", refuse)
-    for save, value in saves:
-        for target in (tmp_path / "new.txt", old):
-            with pytest.raises(OSError):
-                save(value, str(target))
-    assert [path.name for path in tmp_path.iterdir()] == ["old.txt"]
+    for argv in (
+        ["simulate", "session.cfg"],
+        ["analyze", "counts.txt"],
+        ["rate", "gains.txt"],
+        ["hom-scan", "hom.cfg"],
+        ["table1"],
+    ):
+        for target in ("new.txt", "old.txt"):
+            assert main([*argv, "--output", target]) == 1, argv
+            assert capsys.readouterr().err == "error: rename refused\n", argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*inputs, "old.txt"])
     assert old.read_text(encoding="utf-8") == "previous\n"
 
 
@@ -426,7 +439,7 @@ def test_report_optional_fields_and_warning_lines(tmp_path) -> None:
     assert "warning_1: first problem" in text
     assert "warning_2: second problem" in text
     path = str(tmp_path / "report.txt")
-    save_report(ResultReport(result=result), path)
+    _write_atomic(format_report(ResultReport(result=result)), path)
     with open(path, "r", encoding="utf-8") as handle:
         assert handle.read() == text
 
@@ -515,8 +528,14 @@ def test_hom_config_grid_and_conflict() -> None:
     assert grid.delays_ns == (-2.0, -1.0, 0.0, 1.0, 2.0)
     with pytest.raises(FormatError, match="not both"):
         parse_hom_config("delays_ns = 0.0 1.0\ndelays.points = 5\n")
-    with pytest.raises(FormatError, match="points"):
-        parse_hom_config("delays.points = 1\n")
+    # The ceiling is checked before the grid is built: 10**15 points would
+    # ask numpy for petabytes.
+    assert len(parse_hom_config(f"delays.points = {MAX_DELAY_POINTS}\n").delays_ns) == (
+        MAX_DELAY_POINTS
+    )
+    for points in (1, MAX_DELAY_POINTS + 1, 10**15):
+        with pytest.raises(FormatError, match=f"delays.points must lie in .*, got {points}$"):
+            parse_hom_config(f"delays.points = {points}\n")
     with pytest.raises(FormatError):
         parse_hom_config("mu = -1\n")
 
