@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -65,6 +66,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
     return value
 
 
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table1", help="print the analyzer response table for prepared state pairs"
     )
     tab.add_argument(
-        "--mu", type=float, default=DEFAULT_TABLE_MU,
+        "--mu", type=_nonnegative_float, default=DEFAULT_TABLE_MU,
         help="mean photon number of the weak-coherent columns",
     )
     _add_common_output(tab)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .optics import BASIS_LABELS, ParameterError, check_intensities, poisson_pmf
-from .session import COUNT_COLUMNS
+from .session import AGREE, COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
 # Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
@@ -102,8 +102,6 @@ class GainErrorMatrices:
     e_diag: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.mus) != 3:
-            raise ParameterError(f"mus must have 3 entries, got {self.mus!r}")
         check_intensities(self.mus)
         for name in ("q_rect", "q_diag", "e_rect", "e_diag"):
             setattr(self, name, checked_matrix(name, getattr(self, name)))
@@ -198,8 +196,7 @@ class _Program(NamedTuple):
 
 def _poisson_rows(mus: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-intensity Poisson rows P_m and the per-pair excluded tail masses."""
-    if len(mus) != 3:
-        raise ParameterError(f"mus must have 3 entries, got {mus!r}")
+    check_intensities(mus)
     if not 2 <= truncation <= MAX_TRUNCATION:
         raise ParameterError(f"truncation must lie in [2, {MAX_TRUNCATION}], got {truncation!r}")
     ns = np.arange(truncation + 1)
@@ -444,72 +441,57 @@ def lp_bound_error(
     return _error_bound(*_solve(programs), programs, rows.shape[1])
 
 
-# Same-basis state codes of each basis, and the error columns of each of its
-# four cells (a, b), shape (2, 2, 7): for rectilinear preparation both
-# conclusive outcomes imply anticorrelated bits, so identical-bit cells are
-# errors in all four conclusive columns.  For diagonal preparation the
-# {1,4}/{2,3} outcome implies anticorrelated bits while {1,2}/{3,4} implies
-# correlated ones, so the erroneous columns depend on the prepared pair.
-_BASIS_SOPS = {label: slice(2 * b, 2 * b + 2) for b, label in enumerate(BASIS_LABELS)}
+# The error columns of each same-basis cell, shape (basis, a, b, column): for
+# rectilinear preparation both conclusive outcomes imply anticorrelated bits,
+# so identical-bit cells are errors in all four conclusive columns.  For
+# diagonal preparation the {1,4}/{2,3} outcome implies anticorrelated bits
+# while {1,2}/{3,4} implies correlated ones, so the erroneous columns depend
+# on the prepared pair.
 _SAME_BIT = np.eye(2, dtype=bool)[:, :, None]
-_ERROR_COLUMNS = {
-    BASIS_LABELS[0]: _SAME_BIT & np.isin(COUNT_COLUMNS, ("c12", "c34", "c14", "c23")),
-    BASIS_LABELS[1]: np.where(
-        _SAME_BIT, np.isin(COUNT_COLUMNS, ("c14", "c23")), np.isin(COUNT_COLUMNS, ("c12", "c34"))
-    ),
-}
-
-
-def _basis_block(tables, basis: str) -> tuple[np.ndarray, np.ndarray]:
-    """pulses_sent (3, 3, 2, 2) and counts (3, 3, 2, 2, 7) of a basis's same-basis cells."""
-    if basis not in _BASIS_SOPS:
-        raise ParameterError(f"basis must be 'rect' or 'diag', got {basis!r}")
-    sops = _BASIS_SOPS[basis]
-    return tables.pulses_sent[:, :, sops, sops], tables.counts[:, :, sops, sops]
-
-
-def gains_from_counts(tables, basis: str) -> np.ndarray:
-    """Per-intensity-pair gain: mean over the four same-basis cells of the
-    conclusive-count rate."""
-    pulses, counts = _basis_block(tables, basis)
-    empty = np.argwhere(pulses <= 0)
-    if len(empty):
-        i, j, a, b = empty[0].tolist()
-        first = _BASIS_SOPS[basis].start
-        raise InsufficientCountsError(f"cell ({i}, {j}, {first + a}, {first + b}) has no pulses")
-    return (counts[..., :4].sum(axis=-1) / pulses).mean(axis=(2, 3))
-
-
-def errors_from_counts(tables, basis: str) -> tuple[np.ndarray, list[str]]:
-    """Per-intensity-pair error rate among conclusive events.
-
-    Pairs with zero conclusive counts carry no error information; their rate
-    defaults to the random-outcome value 0.5 with a warning, the same
-    convention the vacuum-vacuum pair uses.
-    """
-    _, counts = _basis_block(tables, basis)
-    total = counts[..., :4].sum(axis=(2, 3, 4))
-    wrong = (counts * _ERROR_COLUMNS[basis]).sum(axis=(2, 3, 4))
-    warnings = [
-        f"{basis} intensity pair ({i}, {j}) has no conclusive counts; "
-        "error rate defaulted to 0.5"
-        for i, j in np.argwhere(total == 0).tolist()
-    ]
-    return np.divide(wrong, total, out=np.full((3, 3), 0.5), where=total > 0), warnings
+_C12_C34 = np.isin(COUNT_COLUMNS, ("c12", "c34"))
+_C14_C23 = np.isin(COUNT_COLUMNS, ("c14", "c23"))
+_ERROR_COLUMNS = np.stack(
+    [_SAME_BIT & (_C12_C34 | _C14_C23), np.where(_SAME_BIT, _C14_C23, _C12_C34)]
+)
+# The (i, j, code_a, code_b) index of each agreeing cell of session.AGREE, on
+# the axes (basis, i, j, a, b), and the index arrays that gather them.
+_CELL_INDEX = np.moveaxis(np.argwhere(AGREE).reshape(3, 3, 2, 2, 2, 4), 2, 0)
+_CELLS = tuple(np.moveaxis(_CELL_INDEX, -1, 0))
 
 
 def matrices_from_counts(tables) -> tuple[GainErrorMatrices, list[str]]:
-    """Build measured gain and error matrices from session count tables."""
-    gains = [gains_from_counts(tables, basis) for basis in BASIS_LABELS]
-    errors, warnings = zip(*(errors_from_counts(tables, basis) for basis in BASIS_LABELS))
-    return GainErrorMatrices(tuple(tables.class_mus), *gains, *errors), sum(warnings, [])
+    """Build measured gain and error matrices from session count tables.
+
+    In each basis, a pair's gain is the mean over its four same-basis cells of
+    the conclusive-count rate, and its error rate is the share of its
+    conclusive counts in the error columns.  A pair with zero conclusive
+    counts carries no error information; its rate defaults to the
+    random-outcome value 0.5 with a warning, the same convention the
+    vacuum-vacuum pair uses.  Warnings and the empty cell named by
+    InsufficientCountsError follow (basis, i, j) order, rectilinear first.
+    """
+    pulses = tables.pulses_sent[_CELLS]
+    counts = tables.counts[_CELLS]
+    empty = pulses <= 0
+    if empty.any():
+        raise InsufficientCountsError(f"cell {tuple(_CELL_INDEX[empty][0].tolist())} has no pulses")
+    conclusive = counts[..., :4].sum(axis=-1)
+    gains = (conclusive / pulses).mean(axis=(3, 4))
+    total = conclusive.sum(axis=(3, 4))
+    wrong = (counts * _ERROR_COLUMNS[:, None, None]).sum(axis=(3, 4, 5))
+    errors = np.divide(wrong, total, out=np.full(total.shape, 0.5), where=total > 0)
+    warnings = [
+        f"{BASIS_LABELS[b]} intensity pair ({i}, {j}) has no conclusive counts; "
+        "error rate defaulted to 0.5"
+        for b, i, j in np.argwhere(total == 0).tolist()
+    ]
+    return GainErrorMatrices(tuple(tables.class_mus), *gains, *errors), warnings
 
 
 def analyze_matrices(
     matrices: GainErrorMatrices,
     truncation: int = DEFAULT_TRUNCATION,
     f_ec: float = DEFAULT_F_EC,
-    extra_warnings: tuple[str, ...] = (),
 ) -> DecoyResult:
     """Run the full bounding pipeline on measured gain/error matrices."""
     rows, tails = _poisson_rows(matrices.mus, truncation)
@@ -533,7 +515,7 @@ def analyze_matrices(
         f_ec=f_ec,
         truncation=truncation,
         mus=matrices.mus,
-        warnings=tuple(extra_warnings),
+        warnings=(),
     )
 
 
@@ -542,6 +524,5 @@ def analyze(
 ) -> DecoyResult:
     """Full pipeline from count tables to bounds and key rate."""
     matrices, warnings = matrices_from_counts(tables)
-    return analyze_matrices(
-        matrices, truncation=truncation, f_ec=f_ec, extra_warnings=tuple(warnings)
-    )
+    result = analyze_matrices(matrices, truncation=truncation, f_ec=f_ec)
+    return dataclasses.replace(result, warnings=tuple(warnings))

@@ -33,7 +33,7 @@ import warnings as _warnings
 import numpy as np
 
 from .decoy import DecoyResult, GainErrorMatrices
-from .optics import ParameterError
+from .optics import ParameterError, check_intensities
 from .session import (
     COUNT_COLUMNS,
     DEFAULT_DELAY_GRID,
@@ -337,9 +337,11 @@ def parse_gains(text: str, *, source: str = "<string>") -> GainErrorMatrices:
     """Parse gain-table text into GainErrorMatrices."""
     header, rows = _read_data_file(text, GAINS_FORMAT, ("mus",), _GAINS_COLUMNS_LINE, source)
     value, where = header["mus"]
-    mus = [_parse_float(t, where) for t in value.split()]
-    if len(mus) != 3:
-        raise FormatError(f"{where}: expected 3 intensities, got {len(mus)}")
+    mus = tuple(_parse_float(t, where) for t in value.split())
+    try:
+        check_intensities(mus)
+    except ParameterError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
     # q_rect, q_diag, e_rect, e_diag: the value columns in file order.
     values = np.zeros((4, 3, 3))
@@ -363,7 +365,7 @@ def parse_gains(text: str, *, source: str = "<string>") -> GainErrorMatrices:
         raise FormatError(f"{source}: missing intensity pairs {missing}")
 
     try:
-        return GainErrorMatrices(tuple(mus), *values)
+        return GainErrorMatrices(mus, *values)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

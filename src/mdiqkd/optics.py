@@ -149,6 +149,8 @@ def validate_classes(
 
 def check_intensities(mus: tuple[float, float, float]) -> None:
     """Check a (signal, decoy, vacuum) mu triple: vacuum exactly 0, finite signal > decoy > 0."""
+    if len(mus) != 3:
+        raise ParameterError(f"mus must have 3 entries, got {mus!r}")
     signal, decoy, vacuum = mus
     if vacuum != 0.0:
         raise ParameterError(f"vacuum mu must be exactly 0, got {vacuum!r}")

@@ -65,15 +65,16 @@ for _name, _pattern in COINCIDENCE_PATTERNS.items():
 MODE_RANDOM = "random"
 MODE_SWEEP = "sweep"
 
-# The agreeing-basis cells: a state code's basis is code >> 1 (see optics).
+# The agreeing-basis cells: a state code's basis is code >> 1 (see optics), so
+# in C order the 72 cells take the axes (ia, ib, basis, sa & 1, sb & 1).
 _BASIS = np.arange(N_SOPS) >> 1
-_AGREE = np.broadcast_to(_BASIS[:, None] == _BASIS, (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS))
+AGREE = np.broadcast_to(_BASIS[:, None] == _BASIS, (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS))
 # Sweep mode cycles through the 72 agreeing-basis configurations gate by gate,
 # in cell order: 9 intensity pairs x 8 same-basis state pairs, rectilinear first.
 SWEEP_SLOTS: tuple[tuple[int, int, int, int], ...] = tuple(
-    map(tuple, np.argwhere(_AGREE).tolist())
+    map(tuple, np.argwhere(AGREE).tolist())
 )
-_SWEEP_CELLS = np.flatnonzero(_AGREE)
+_SWEEP_CELLS = np.flatnonzero(AGREE)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -246,14 +247,14 @@ def _channel_law(
     mus_a = np.array([attenuate(mu, channel_a.loss_db) for mu in mus])
     mus_b = np.array([attenuate(mu, channel_b.loss_db) for mu in mus])
     overlap = channel_a.temporal_overlap * channel_b.temporal_overlap
-    ia, ib, sa, sb = np.nonzero(_AGREE)
+    ia, ib, sa, sb = np.nonzero(AGREE)
     probs = _pattern_table(
         mus_a[ia], mus_b[ib], _CODE_AMPS_A[sa], _CODE_AMPS_B[sb], overlap, detector
     )
     seen = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS + 1))
-    seen[~_AGREE, N_COLUMNS] = 1.0
+    seen[~AGREE, N_COLUMNS] = 1.0
     # Fold the 16 patterns into the 7 columns with a one-hot (16, 7) matrix.
-    seen[_AGREE, :N_COLUMNS] = (
+    seen[AGREE, :N_COLUMNS] = (
         probs / probs.sum(axis=1, keepdims=True)
     ) @ np.eye(N_COLUMNS)[_FOLD]
     mis_a = channel_a.misalignment
@@ -349,7 +350,7 @@ class HomScanConfig:
             raise ParameterError(
                 f"delays_ns must hold at most {MAX_DELAY_POINTS} delays, got {len(self.delays_ns)}"
             )
-        if not self.delays_ns or any(not math.isfinite(t) for t in self.delays_ns):
+        if len(self.delays_ns) == 0 or any(not math.isfinite(t) for t in self.delays_ns):
             raise ParameterError("delays_ns must be a non-empty tuple of finite floats")
         if not 1 <= self.pulses_per_point < 2**63:
             raise ParameterError(

@@ -73,6 +73,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "refuse-intensities": ("simulate", "bad_classes.cfg", "--output", OUTPUT),
     "refuse-seed-flag": ("simulate", "session.cfg", "--seed", "-1", "--output", OUTPUT),
     "refuse-hom-grid": ("hom-scan", "huge_grid.cfg", "--output", OUTPUT),
+    "refuse-table1-mu": ("table1", "--mu", "-1", "--output", OUTPUT),
 }
 
 

@@ -226,6 +226,18 @@ def test_out_of_range_integer_flags_exit_one(tmp_path, capsys) -> None:
         assert not out.exists()
 
 
+def test_table1_mu_flag_refusals_name_the_flag(tmp_path, capsys) -> None:
+    out = tmp_path / "table.txt"
+    for value in ("-1", "nan", "inf", "-inf", "abc"):
+        assert main(["table1", f"--mu={value}", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --mu: expected a" in err, err
+        assert "Traceback" not in err and "mu_a" not in err
+        assert not out.exists()
+    assert main(["table1", "--mu", "0"]) == 0
+    assert "wcp mu = 0.0" in capsys.readouterr().out
+
+
 def test_non_utf8_input_exits_one(tmp_path, capsys) -> None:
     for command in ("rate", "analyze", "simulate", "hom-scan"):
         path = tmp_path / f"{command}.txt"

@@ -25,8 +25,6 @@ from mdiqkd.decoy import (
     _solve,
     analyze,
     analyze_matrices,
-    errors_from_counts,
-    gains_from_counts,
     lp_bound_error,
     lp_bound_yield,
     matrices_from_counts,
@@ -520,44 +518,55 @@ def synthetic_tables() -> CountTables:
 
 def test_gains_from_counts_exact() -> None:
     tables = synthetic_tables()
-    rect = gains_from_counts(tables, "rect")
-    assert rect[0, 0] == pytest.approx((10 + 10 + 30 + 30) / 4 / 1000, rel=1e-12)
-    assert rect[2, 2] == 0.0
-    diag = gains_from_counts(tables, "diag")
-    assert diag[0, 0] == pytest.approx(100 / 4 / 1000, rel=1e-12)
-    with pytest.raises(ParameterError):
-        gains_from_counts(tables, "circular")
+    matrices, _ = matrices_from_counts(tables)
+    # Gains: the mean conclusive rate over the four same-basis cells.
+    assert matrices.q_rect[0, 0] == pytest.approx((10 + 10 + 30 + 30) / 4 / 1000, rel=1e-12)
+    assert matrices.q_rect[2, 2] == 0.0
+    assert matrices.q_diag[0, 0] == pytest.approx(100 / 4 / 1000, rel=1e-12)
     empty = dataclasses.replace(tables, pulses_sent=tables.pulses_sent.copy())
     empty.pulses_sent[0, 0, 0, 0] = 0
     with pytest.raises(InsufficientCountsError, match=r"cell \(0, 0, 0, 0\)"):
-        gains_from_counts(empty, "rect")
-    # The first empty cell in (i, j, sa, sb) order is named.
+        matrices_from_counts(empty)
+    # The first empty cell in (basis, i, j, sa, sb) order is named: a rect
+    # cell before any diag cell, even one of an earlier pair, then the diag
+    # cells in (i, j, sa, sb) order.
+    empty.pulses_sent[0, 0, 0, 0] = 1000
     empty.pulses_sent[2, 0, 2, 2] = 0
     empty.pulses_sent[1, 2, 3, 2] = 0
+    empty.pulses_sent[2, 1, 1, 0] = 0
+    with pytest.raises(InsufficientCountsError, match=r"cell \(2, 1, 1, 0\)"):
+        matrices_from_counts(empty)
+    empty.pulses_sent[2, 1, 1, 0] = 1000
     with pytest.raises(InsufficientCountsError, match=r"cell \(1, 2, 3, 2\)"):
-        gains_from_counts(empty, "diag")
+        matrices_from_counts(empty)
 
 
 def test_errors_from_counts_semantics() -> None:
     tables = synthetic_tables()
-    rect, rect_warnings = errors_from_counts(tables, "rect")
+    matrices, warnings = matrices_from_counts(tables)
     # Matched bits are always wrong in the rectilinear basis: 20 of 80.
-    assert rect[0, 0] == pytest.approx(20 / 80, rel=1e-12)
-    diag, diag_warnings = errors_from_counts(tables, "diag")
+    assert matrices.e_rect[0, 0] == pytest.approx(20 / 80, rel=1e-12)
     # Matched diagonal bits are wrong only for anticorrelated outcomes.
-    assert diag[0, 0] == pytest.approx(30 / 100, rel=1e-12)
-    assert any("(2, 2)" in w for w in rect_warnings)
-    assert rect[2, 2] == 0.5
-    assert any("(0, 1)" in w for w in diag_warnings)
+    assert matrices.e_diag[0, 0] == pytest.approx(30 / 100, rel=1e-12)
+    assert any(w.startswith("rect") and "(2, 2)" in w for w in warnings)
+    assert matrices.e_rect[2, 2] == 0.5
+    assert any(w.startswith("diag") and "(0, 1)" in w for w in warnings)
+    assert matrices.e_diag[0, 1] == 0.5
 
 
 def test_matrices_from_counts_composition() -> None:
     tables = synthetic_tables()
     matrices, warnings = matrices_from_counts(tables)
     assert matrices.mus == (0.5, 0.1, 0.0)
-    assert np.array_equal(matrices.q_rect, gains_from_counts(tables, "rect"))
-    assert np.array_equal(matrices.e_diag, errors_from_counts(tables, "diag")[0])
-    assert len(warnings) > 0
+    # Pairs without conclusive counts default to 0.5 and warn, rect pairs
+    # first, each basis in (i, j) order.
+    assert warnings == [
+        f"{basis} intensity pair ({i}, {j}) has no conclusive counts; "
+        "error rate defaulted to 0.5"
+        for basis in ("rect", "diag")
+        for i, j in np.ndindex(3, 3)
+        if (i, j) != (0, 0)
+    ]
 
 
 def test_matrices_validation() -> None:
@@ -633,11 +642,11 @@ def test_analyze_matrices_result_fields_on_feasible_input() -> None:
         e_rect=np.full((3, 3), e0),
         e_diag=np.full((3, 3), e0),
     )
-    result = analyze_matrices(matrices, extra_warnings=("synthetic input",))
+    result = analyze_matrices(matrices)
     assert result.truncation == DEFAULT_TRUNCATION
     assert result.f_ec == DEFAULT_F_EC
     assert result.mus == REFERENCE_MUS
-    assert result.warnings == ("synthetic input",)
+    assert result.warnings == ()
     assert 0.0 < result.y11_lower <= 1.0 - (1.0 - y0) ** 2 + 1e-9
     assert result.e11_upper >= e0 - 1e-9
     assert result.q11 == pytest.approx(
@@ -806,5 +815,12 @@ def test_lp_input_validation() -> None:
         lp_bound_yield(geometric_gains(1e-3), (0.5, 0.0))
     with pytest.raises(ParameterError, match="3 entries"):
         lp_bound_error(geometric_gains(1e-3), np.zeros((3, 3)), (0.5, 0.1, 0.05, 0.0))
+    # The one (signal, decoy, vacuum) rule: a decoy equal to or above the
+    # signal, or a vacuum above 0, is refused as GainErrorMatrices refuses it.
+    for mus in ((0.5, 0.5, 0.0), (0.1, 0.5, 0.0), (0.5, 0.1, 0.01)):
+        with pytest.raises(ParameterError, match="vacuum mu|signal > decoy"):
+            lp_bound_yield(np.full((3, 3), 1e-3), mus)
+        with pytest.raises(ParameterError, match="vacuum mu|signal > decoy"):
+            lp_bound_error(np.full((3, 3), 1e-3), np.full((3, 3), 0.05), mus)
     with pytest.raises(ParameterError):
         poisson_pmf(-0.5, np.arange(3))

@@ -32,7 +32,7 @@ from mdiqkd.io_formats import (
     read_text,
 )
 from mdiqkd.io_formats import _config_defaults, _write_atomic
-from mdiqkd.optics import ChannelModel, ParameterError, standard_classes
+from mdiqkd.optics import ChannelModel, ParameterError, check_intensities, standard_classes
 from mdiqkd.session import (
     MAX_DELAY_POINTS,
     CountTables,
@@ -270,7 +270,7 @@ def set_header(key: str, value: str | None):
         ),
         ("counts", set_header("classes", "signal=0.5 decoy=0.1"), "expected 3 classes"),
         ("counts", set_header("mode", "random sweep"), "^<string>: mode must be a single token"),
-        ("gains", set_header("mus", "0.5 0.1"), "expected 3 intensities"),
+        ("gains", set_header("mus", "0.5 0.1"), r"^<string>:2: mus must have 3 entries"),
         ("gains", lambda text: text + "0.5 0.1 0.0\n", "expected 6 fields"),
     ],
     ids=[
@@ -297,6 +297,21 @@ def test_reader_refusals(kind, mutate, message) -> None:
         text, parse = format_gains(geometric_matrices()), parse_gains
     with pytest.raises(FormatError, match=message):
         parse(mutate(text))
+
+
+@pytest.mark.parametrize(
+    "mus",
+    [(0.5, 0.1, 0.1), (0.5, 0.5, 0.0), (0.1, 0.5, 0.0), (0.5, 0.1, 0.01), (0.5, 0.0, 0.0)],
+)
+def test_gains_header_intensity_rule(mus) -> None:
+    # The mus line is checked before any row is read: with two equal entries
+    # a row would otherwise be refused as a duplicate pair first.
+    header = " ".join(map(repr, mus))
+    with pytest.raises(ParameterError) as rule:
+        check_intensities(mus)
+    message = rf"^<string>:2: {re.escape(str(rule.value))}$"
+    with pytest.raises(FormatError, match=message):
+        parse_gains(set_header("mus", header)(format_gains(geometric_matrices())))
 
 
 def test_counts_comments_and_blanks_tolerated() -> None:
@@ -430,8 +445,8 @@ def test_report_layout_and_precision() -> None:
 
 
 def test_report_optional_fields_and_warning_lines(tmp_path) -> None:
-    result = analyze_matrices(
-        geometric_matrices(), extra_warnings=("first problem", "second\nproblem")
+    result = dataclasses.replace(
+        analyze_matrices(geometric_matrices()), warnings=("first problem", "second\nproblem")
     )
     text = format_report(ResultReport(result=result))
     assert "input_sha256: -" in text

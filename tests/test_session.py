@@ -459,6 +459,11 @@ def test_hom_config_validation() -> None:
     for delays in ((), (0.0,) * (MAX_DELAY_POINTS + 1)):
         with pytest.raises(ParameterError):
             make_hom_config(delays_ns=delays)
+    # An array of delays takes the same checks as a tuple.
+    for delays in ([], np.zeros(MAX_DELAY_POINTS + 1), [0.0, math.nan], [math.inf]):
+        with pytest.raises(ParameterError, match="delays_ns"):
+            make_hom_config(delays_ns=np.array(delays))
+    assert len(make_hom_config(delays_ns=np.array([-1.0, 0.0, 1.0])).delays_ns) == 3
     for bad in (dict(pulses_per_point=0), dict(pulses_per_point=2**63), dict(seed=-1)):
         with pytest.raises(ParameterError):
             make_hom_config(**bad)
