@@ -182,8 +182,9 @@ def _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector: DetectorModel) -
     """Click-pattern distributions of a batch of phase-randomized coherent inputs.
 
     Args:
-        mu_a, mu_b, overlap: per-row mean photon numbers and temporal overlap,
-            shape (n,) or broadcastable to it.
+        mu_a, mu_b, overlap: per-row mean photon numbers (finite and >= 0;
+            callers check them) and temporal overlap, shape (n,) or
+            broadcastable to it.
         amp_a, amp_b: per-row detector amplitudes of each source, shape (n, 4)
             or broadcastable to it (see _detector_amplitudes).
         detector: detector model applied identically to all four detectors.
@@ -193,10 +194,6 @@ def _pattern_table(mu_a, mu_b, amp_a, amp_b, overlap, detector: DetectorModel) -
         pattern index with detector d as bit d - 1.
     """
     mu_a, mu_b, overlap = (np.asarray(x, dtype=float)[..., None] for x in (mu_a, mu_b, overlap))
-    for name, mu in (("mu_a", mu_a), ("mu_b", mu_b)):
-        bad = mu[~((mu >= 0.0) & (mu < math.inf))]
-        if bad.size:
-            raise ParameterError(f"{name} must be finite and >= 0, got {float(bad[0])!r}")
     # The mean photon number at detector d and relative phase theta is
     # base_d + Re(cross_d exp(i theta)); cross comes from the common mode.
     base = mu_a * np.abs(amp_a) ** 2 + mu_b * np.abs(amp_b) ** 2

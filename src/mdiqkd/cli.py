@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on any validation or input error (including
 unknown flags), 2 when the bounding programs certify the measured model
-infeasible or degenerate.  Output files are written atomically after the
-full result is formatted, so a nonzero exit never leaves a partial file.
+infeasible or degenerate, or the solver fails on data that meet every
+bracket.  Output files are written atomically after the full result is
+formatted, so a nonzero exit never leaves a partial file.
 
 Only analyze and rate solve bounding programs, and with them load scipy;
 simulate, hom-scan and table1 load numpy only.

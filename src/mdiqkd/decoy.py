@@ -67,7 +67,12 @@ class InfeasibleModelError(RuntimeError):
 
 
 class DegenerateBoundError(RuntimeError):
-    """The single-photon yield lower bound vanished, so no error bound exists."""
+    """The programs give no bound on data that no bracket contradicts.
+
+    Either the single-photon yield lower bound vanished, so no error bound
+    exists, or the solver failed where the elastic diagnosis finds the data
+    consistent, as it can when gains lie near its tolerances.
+    """
 
 
 class InsufficientCountsError(ValueError):
@@ -329,14 +334,15 @@ def _solve(programs: list[_Program]) -> list[np.ndarray]:
     are stacked last first, so the ratio program, passed last, takes the
     first columns (stacked last, it moved e11 by up to 4.8e-7 relative at
     truncation 30).  Without a solution the programs are diagnosed in the
-    order given; if none raises, the solver's failure is raised.
+    order given; if none raises, the solver's failure is raised as
+    DegenerateBoundError.
     """
     stack = programs[::-1]
     res = _linprog(stack)
     if res.status != 0:
         for program in programs:
             _diagnose(program if program.plain is None else program.plain)
-        raise RuntimeError(f"linear program failed: {res.message}")
+        raise DegenerateBoundError(f"linear program failed: {res.message}")
     return np.split(res.x, np.cumsum([len(p.c) for p in stack[:-1]]))[::-1]
 
 
@@ -363,7 +369,7 @@ def _diagnose(program: _Program) -> None:
     )
     res = _linprog([elastic])
     if res.status != 0:
-        raise RuntimeError(f"linear program failed: {res.message}")
+        raise DegenerateBoundError(f"linear program failed: {res.message}")
     misses = res.x[n_cols:].reshape(2, -1).sum(axis=0)
     if float(misses.sum()) > _SLACK_TOL:
         violations = [
@@ -431,7 +437,8 @@ def lp_bound_error(
         The e^{11} upper bound: the ratio optimum, clipped to [0, 0.5].
 
     Raises:
-        DegenerateBoundError: the Y^{11} lower bound is numerically zero.
+        DegenerateBoundError: the Y^{11} lower bound is numerically zero, or
+            the solver failed on data that meet every bracket.
         InfeasibleModelError: no surfaces meet the brackets.
     """
     gains = checked_matrix("gains", gains)

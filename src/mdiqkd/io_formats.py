@@ -6,9 +6,11 @@ line, "key: value" header lines in a fixed order, then rows of fields joined
 by single spaces; floats via repr, rows in declared intensity order then
 state-code order, "\n" newlines.  One reader loads counts and gains files:
 the header runs from the format line through the "columns" line, every later
-line is a data row, and a major version other than the writer's fails
-loudly.  Loaders accept blank lines and full-line "#" comments so the files
-stay hand-editable; a save normalizes them away.  Config files use flat
+line is a data row, and a major version the reader does not handle fails
+loudly.  Counts files are written at 2.0; 1.x files still load, their two
+retired header keys (sifted, repetition_rate_hz) skipped unread.  Loaders
+accept blank lines and full-line "#" comments so the files stay
+hand-editable; a save normalizes them away.  Config files use flat
 "key = value" lines.  Their keys are the fields of SessionConfig and
 HomScanConfig, with dotted names for nested fields (for example
 channel_a.loss_db) and classes.<label> for an intensity class's mu; each
@@ -53,10 +55,15 @@ COUNTS_FORMAT = "mdiqkd-counts"
 GAINS_FORMAT = "mdiqkd-gains"
 REPORT_FORMAT = "mdiqkd-report"
 HOM_FORMAT = "mdiqkd-homscan"
-FORMAT_VERSION = "1.0"
-# No reader loads reports, so their version moves apart from FORMAT_VERSION,
-# which also sets the major version the counts and gains readers accept.
-REPORT_VERSION = "2.0"
+# Per format: the version written, the major versions read (reports and scan
+# tables have no reader), and the header keys of an older version that the
+# reader skips without a warning.
+_VERSIONS: dict[str, tuple[str, tuple[int, ...], tuple[str, ...]]] = {
+    COUNTS_FORMAT: ("2.0", (1, 2), ("sifted", "repetition_rate_hz")),
+    GAINS_FORMAT: ("1.0", (1,), ()),
+    REPORT_FORMAT: ("2.0", (), ()),
+    HOM_FORMAT: ("1.0", (), ()),
+}
 
 # File tokens for the four state codes, in code order.
 SOP_TOKENS = ("H", "V", "+", "-")
@@ -104,14 +111,6 @@ def _fmt_float(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_bool(token: str, context: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise FormatError(f"{context}: expected 'true' or 'false', got {token!r}")
-
-
 def _parse_int(token: str, context: str) -> int:
     try:
         return int(token)
@@ -138,12 +137,11 @@ def _check_version(value: str, expected_name: str, context: str) -> None:
     version = parts[1].split(".")
     if len(version) != 2 or not all(p.isdigit() for p in version):
         raise FormatError(f"{context}: malformed version {parts[1]!r}")
-    major = int(version[0])
-    expected_major = int(FORMAT_VERSION.split(".")[0])
-    if major != expected_major:
+    majors = _VERSIONS[expected_name][1]
+    if int(version[0]) not in majors:
         raise FormatError(
             f"{context}: unsupported major version {parts[1]} "
-            f"(this reader handles {expected_major}.x)"
+            f"(this reader handles {' and '.join(f'{m}.x' for m in majors)})"
         )
 
 
@@ -153,13 +151,14 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
-def _render(format_name: str, header, rows, version: str = FORMAT_VERSION) -> str:
+def _render(format_name: str, header, rows) -> str:
     """Canonical data-file text.
 
-    The format line, then one "key: value" line per (key, value) pair of
-    header, then one line per row of string fields, joined by single spaces.
+    The format line at the format's written version, then one "key: value"
+    line per (key, value) pair of header, then one line per row of string
+    fields, joined by single spaces.
     """
-    lines = [f"format: {format_name} {version}"]
+    lines = [f"format: {format_name} {_VERSIONS[format_name][0]}"]
     lines += [f"{key}: {value}" for key, value in header]
     lines += [" ".join(fields) for fields in rows]
     return "\n".join(lines) + "\n"
@@ -174,7 +173,8 @@ def _read_data_file(
     columns line; every later content line is a data row.  Checks the format
     name and major version, duplicate keys (unknown ones included), that each
     of keys is present and that the columns line reads columns.  An unknown
-    key only warns: a later minor version may add keys.
+    key only warns: a later minor version may add keys.  A key the format
+    retired is skipped without one.
 
     Returns (header, rows): header maps each key read to (value,
     "source:line"), and rows lists ("source:line", whitespace-split fields)
@@ -198,7 +198,7 @@ def _read_data_file(
             _check_version(value.strip(), format_name, where)
         elif key == "columns":
             break
-        elif key not in keys:
+        elif key not in keys and key not in _VERSIONS[format_name][2]:
             _warnings.warn(f"{where}: unknown header key {key!r}", stacklevel=3)
     if not header:
         raise FormatError(f"{source}: {first_line}")
@@ -216,7 +216,7 @@ def _read_data_file(
 
 # Counts files.
 
-_COUNTS_HEADER_KEYS = ("classes", "pulses_total", "seed", "mode", "sifted", "repetition_rate_hz")
+_COUNTS_HEADER_KEYS = ("classes", "pulses_total", "seed", "mode")
 
 
 def format_counts(tables: CountTables) -> str:
@@ -228,8 +228,6 @@ def format_counts(tables: CountTables) -> str:
         ("pulses_total", int(tables.pulses_total)),
         ("seed", int(tables.seed)),
         ("mode", tables.mode),
-        ("sifted", "true" if tables.sifted else "false"),
-        ("repetition_rate_hz", _fmt_float(tables.repetition_rate_hz)),
         ("columns", _COUNTS_COLUMNS_LINE),
     ]
     # Only cells with pulses or counts are written.  np.nonzero and boolean
@@ -264,8 +262,6 @@ def parse_counts(text: str, *, source: str = "<string>") -> CountTables:
     pulses_total = _parse_int(*header["pulses_total"])
     seed = _parse_int(*header["seed"])
     mode = header["mode"][0]
-    sifted = _parse_bool(*header["sifted"])
-    repetition_rate_hz = _parse_float(*header["repetition_rate_hz"])
 
     pulses_sent = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS), dtype=np.int64)
     counts = np.zeros((N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS), dtype=np.int64)
@@ -308,8 +304,6 @@ def parse_counts(text: str, *, source: str = "<string>") -> CountTables:
             mode=mode,
             pulses_sent=pulses_sent,
             counts=counts,
-            sifted=sifted,
-            repetition_rate_hz=repetition_rate_hz,
         )
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
@@ -412,7 +406,7 @@ def format_report(report: ResultReport) -> str:
         (f"warning_{k}", " ".join(str(message).split()))
         for k, message in enumerate(result.warnings, start=1)
     ]
-    return _render(REPORT_FORMAT, header, (), REPORT_VERSION)
+    return _render(REPORT_FORMAT, header, ())
 
 
 # Interference-scan tables.

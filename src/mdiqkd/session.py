@@ -97,7 +97,6 @@ class SessionConfig:
         mode: "random" (independent choices per gate) or "sweep" (deterministic
             cycle through the 72 agreeing-basis configurations).
         batch_gates: ignored; accepted for old configs.  It must be >= 1.
-        repetition_rate_hz: gate rate, used only to convert to wall-clock units.
     """
 
     pulses: int = 1_000_000
@@ -110,7 +109,6 @@ class SessionConfig:
     rect_prob: float = 0.5
     mode: str = MODE_RANDOM
     batch_gates: int = 1_000_000
-    repetition_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
         if not 1 <= self.pulses < 2**63:
@@ -133,10 +131,6 @@ class SessionConfig:
             raise ParameterError(
                 f"mode must be {MODE_RANDOM!r} or {MODE_SWEEP!r}, got {self.mode!r}"
             )
-        if not 0.0 < self.repetition_rate_hz < math.inf:
-            raise ParameterError(
-                f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
-            )
 
 
 @dataclasses.dataclass(eq=False)
@@ -158,8 +152,6 @@ class CountTables:
     mode: str
     pulses_sent: np.ndarray
     counts: np.ndarray
-    sifted: bool = False
-    repetition_rate_hz: float = 1e6
 
     def __post_init__(self) -> None:
         labels = self.class_labels
@@ -193,10 +185,6 @@ class CountTables:
         # exact in int64 down to the first negative one, which is all this reads.
         if np.subtract.accumulate(cells, axis=-1).min() < 0:
             raise ParameterError("a cell's counts must not sum above its pulses_sent")
-        if not 0.0 < self.repetition_rate_hz < math.inf:
-            raise ParameterError(
-                f"repetition_rate_hz must be finite and > 0, got {self.repetition_rate_hz!r}"
-            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTables):
@@ -207,8 +195,6 @@ class CountTables:
             and self.pulses_total == other.pulses_total
             and self.seed == other.seed
             and self.mode == other.mode
-            and self.sifted == other.sifted
-            and self.repetition_rate_hz == other.repetition_rate_hz
             and np.array_equal(self.pulses_sent, other.pulses_sent)
             and np.array_equal(self.counts, other.counts)
         )
@@ -308,7 +294,6 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
         mode=config.mode,
         pulses_sent=table.sum(axis=1).reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS),
         counts=table[:, :N_COLUMNS].reshape(N_CLASSES, N_CLASSES, N_SOPS, N_SOPS, N_COLUMNS),
-        repetition_rate_hz=config.repetition_rate_hz,
     )
 
 
@@ -316,6 +301,9 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
 DEFAULT_DELAY_GRID = (-3.0, 3.0, 49)
 # Most delays one interference scan takes, whether listed or gridded.
 MAX_DELAY_POINTS = 100_000
+# Visibility that bounds the dip when its width is taken: 2.5% of the ideal
+# zero-delay ceiling 0.5.
+DIP_THRESHOLD = 0.0125
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -376,10 +364,9 @@ class HomScanResult:
     visibility_stderr: np.ndarray
     pulse_width_ns: float
 
-    def dip_width_ns(self, threshold: float = 0.0125) -> float:
-        """Full width of the above-threshold region containing the dip maximum.
+    def dip_width_ns(self) -> float:
+        """Full width of the region above DIP_THRESHOLD containing the dip maximum.
 
-        The default threshold is 2.5% of the ideal zero-delay ceiling 0.5.
         Starting from the highest-visibility point, the scan is walked outward
         on both sides to the first threshold crossing, located by linear
         interpolation.  Isolated noise excursions far from the dip do not
@@ -389,7 +376,7 @@ class HomScanResult:
         tau = self.delays_ns[order]
         vis = np.where(np.isfinite(self.visibility[order]), self.visibility[order], 0.0)
         peak = int(np.argmax(vis))
-        below = vis <= threshold
+        below = vis <= DIP_THRESHOLD
         # The nearest at-or-below-threshold point on each side of the peak.
         outer = np.concatenate(
             (np.flatnonzero(below[:peak])[-1:], peak + 1 + np.flatnonzero(below[peak + 1 :])[:1])
@@ -398,7 +385,7 @@ class HomScanResult:
             return float("nan")
         inner = outer + [1, -1]
         v0, v1 = vis[inner], vis[outer]
-        left, right = tau[inner] + (tau[outer] - tau[inner]) * (v0 - threshold) / (v0 - v1)
+        left, right = tau[inner] + (tau[outer] - tau[inner]) * (v0 - DIP_THRESHOLD) / (v0 - v1)
         return float(right - left)
 
 

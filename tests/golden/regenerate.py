@@ -25,10 +25,17 @@ The inputs are fixed test data:
   from `tests/test_cli.py`, and `extra_key_counts.txt`, the same with an
   unknown `operator: alice` header line;
 * `small_counts.txt`: `simulate session.cfg`, a file the bounds refuse;
+* the three counts inputs were written at counts format 1.0, with its
+  `sifted` and `repetition_rate_hz` header lines, and are kept so: they
+  are the corpus's cases of the 1.x read path;
 * `population_gains.txt`: `format_gains` of population entry 7 (10 dB,
   misalignment 0.019) of `perfbench/refdata.json`;
 * `reference_gains.txt`: `format_gains` of the reference matrices of
-  `tests/test_decoy.py`, which the bounds refuse.
+  `tests/test_decoy.py`, which the bounds refuse;
+* `tiny_gains.txt`: `format_gains` of the exact gains
+  1 - exp(-1e-7 (mu_i + mu_j)) at mus (0.31640625, 0.00158203125, 0) with
+  every error rate 0.015625 (`tiny_gain_matrices()` of `tests/test_decoy.py`),
+  consistent data on which the solver fails at truncation 15.
 
 Run `python3 tests/golden/regenerate.py` from the repository root to rewrite
 `expected/` and `VERSIONS`.  A rewritten corpus is changed test data: record
@@ -69,6 +76,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "rate-population": ("rate", "population_gains.txt", "--output", OUTPUT),
     "refuse-analyze-small": ("analyze", "small_counts.txt", "--output", OUTPUT),
     "refuse-rate-reference": ("rate", "reference_gains.txt", "--output", OUTPUT),
+    "refuse-rate-tiny-gain": ("rate", "tiny_gains.txt", "--truncation", "15",
+                              "--output", OUTPUT),
     "refuse-unknown-config-key": ("simulate", "misspelt.cfg", "--output", OUTPUT),
     "refuse-intensities": ("simulate", "bad_classes.cfg", "--output", OUTPUT),
     "refuse-seed-flag": ("simulate", "session.cfg", "--seed", "-1", "--output", OUTPUT),

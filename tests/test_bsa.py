@@ -149,6 +149,17 @@ def test_detector_model_validation() -> None:
         DetectorModel(dark_prob=0.02)
 
 
+def test_bsa_input_validation() -> None:
+    # The coherent engine does not check its intensities; BsaInput is the
+    # guard of every scalar call.
+    for name, mu in (("mu_a", -0.1), ("mu_b", math.nan), ("mu_a", math.inf)):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite and >= 0, got"):
+            BsaInput(**{"mu_a": 0.1, "mu_b": 0.1, name: mu}, sop_a=SOP_H, sop_b=SOP_V)
+    for overlap in (-0.1, 1.5, math.nan):
+        with pytest.raises(ParameterError, match=r"^overlap must lie in \[0, 1\], got"):
+            BsaInput(0.1, 0.1, SOP_H, SOP_V, overlap=overlap)
+
+
 def test_response_distribution_validation() -> None:
     with pytest.raises(ParameterError):
         BsaResponse(pattern_probs=np.full(16, 0.5))

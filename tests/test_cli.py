@@ -226,6 +226,18 @@ def test_out_of_range_integer_flags_exit_one(tmp_path, capsys) -> None:
         assert not out.exists()
 
 
+def test_pulses_flag_refusals_name_the_flag(tmp_path, capsys) -> None:
+    config_path = write_session_config(tmp_path)
+    for value, message in (
+        ("abc", "expected an integer, got 'abc'"),
+        ("0", "expected a positive integer, got 0"),
+    ):
+        assert main(["simulate", config_path, "--pulses", value]) == 1
+        captured = capsys.readouterr()
+        assert f"argument --pulses: {message}" in captured.err, captured.err
+        assert captured.out == ""
+
+
 def test_table1_mu_flag_refusals_name_the_flag(tmp_path, capsys) -> None:
     out = tmp_path / "table.txt"
     for value in ("-1", "nan", "inf", "-inf", "abc"):
@@ -293,7 +305,7 @@ def test_simulate_to_stdout(tmp_path, capsys) -> None:
     config_path = write_session_config(tmp_path)
     assert main(["simulate", config_path, "--pulses", "20000"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("format: mdiqkd-counts 1.0")
+    assert out.startswith("format: mdiqkd-counts 2.0\n")
     assert parse_counts(out).pulses_total == 20000
 
 
@@ -442,6 +454,8 @@ def test_misspelt_config_key_exits_one(tmp_path, capsys) -> None:
         ("hom-scan", "delays_ns = 0.0\nmu_a = 0.2\n"),
         # The dark-count ceiling is a constant of the detector model.
         ("simulate", "pulses = 20000\ndetector.max_dark_prob = 0.1\n"),
+        # Counts files no longer carry a gate rate.
+        ("simulate", "pulses = 20000\nrepetition_rate_hz = 2e6\n"),
     ):
         config = tmp_path / f"{command}.cfg"
         config.write_text(text, encoding="utf-8")

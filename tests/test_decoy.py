@@ -722,12 +722,58 @@ def test_solver_failure_on_consistent_data_is_raised_once(monkeypatch) -> None:
         mus=REFERENCE_MUS, q_rect=gains, q_diag=gains.copy(),
         e_rect=errors, e_diag=errors.copy(),
     )
-    with pytest.raises(RuntimeError, match=r"^linear program failed: numerical difficulties$"):
+    with pytest.raises(
+        DegenerateBoundError, match=r"^linear program failed: numerical difficulties$"
+    ):
         analyze_matrices(matrices)
     # The elastic programs of the three bracket sets and the denominator's
     # own solve ran; the stack was solved once.
     assert len(widths) == 5
     assert widths.count(widths[0]) == 1
+
+
+def test_failed_elastic_solve_is_a_refusal(monkeypatch) -> None:
+    # When the diagnosis's own elastic program fails too, nothing is known
+    # about the data: its solver message is the refusal, and no later
+    # program is tried.
+    calls = []
+
+    def failing(c, **kwargs):
+        calls.append(len(c))
+        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    gains = geometric_gains(1e-3)
+    with pytest.raises(
+        DegenerateBoundError, match=r"^linear program failed: numerical difficulties$"
+    ):
+        lp_bound_yield(gains, REFERENCE_MUS)
+    assert len(calls) == 2
+
+
+TINY_GAIN_MUS = (0.31640625, 0.00158203125, 0.0)
+
+
+def tiny_gain_matrices() -> GainErrorMatrices:
+    # The geometric surface with y0 = 1e-7 and every error rate 1/64: data
+    # that meet every bracket, with a largest gain of 6.3e-8.
+    gains = geometric_gains(1e-7, TINY_GAIN_MUS)
+    errors = np.full((3, 3), 0.015625)
+    return GainErrorMatrices(
+        mus=TINY_GAIN_MUS, q_rect=gains, q_diag=gains.copy(), e_rect=errors, e_diag=errors.copy()
+    )
+
+
+def test_solver_failure_on_tiny_consistent_gains_is_a_refusal() -> None:
+    # Up to truncation 12 these gains give bounds.  From 15 on the solver
+    # fails on the stacked program while every elastic diagnosis accepts the
+    # data; that failure is a refusal (exit 2), not a bare RuntimeError.
+    # Better conditioning of the ratio program would turn it into a bound.
+    matrices = tiny_gain_matrices()
+    assert analyze_matrices(matrices, truncation=12).e11_upper == pytest.approx(0.01567, rel=1e-3)
+    for truncation in (15, 30):
+        with pytest.raises(DegenerateBoundError, match=r"^linear program failed: "):
+            analyze_matrices(matrices, truncation=truncation)
 
 
 def asymmetric_matrices() -> GainErrorMatrices:

@@ -75,12 +75,10 @@ def geometric_matrices() -> GainErrorMatrices:
 def test_counts_round_trip_values() -> None:
     tables = small_tables()
     assert parse_counts(format_counts(tables)) == tables
-    # The same tables with the mismatched-basis cells dropped, flagged as sifted.
+    # The same tables with the mismatched-basis cells dropped.
     codes = np.arange(4)
     agree = (codes[:, None] >> 1) == (codes >> 1)
-    sifted = dataclasses.replace(
-        tables, pulses_sent=np.where(agree, tables.pulses_sent, 0), sifted=True
-    )
+    sifted = dataclasses.replace(tables, pulses_sent=np.where(agree, tables.pulses_sent, 0))
     assert parse_counts(format_counts(sifted)) == sifted
 
 
@@ -119,7 +117,7 @@ def test_counts_tables_that_construct_round_trip() -> None:
         "class_mus": [(math.nan, 0.1, 0.0), (0.5, math.inf, 0.0), (0.5, 0.1, -0.1), (0.5, 0.1)],
         "pulses_total": [-1],
         "mode": ["", " random", "a b", "random\n", "x\x85"],
-        "pulses_sent": [negative],
+        "pulses_sent": [negative, tables.pulses_sent[..., :3]],
         "counts": [negative_counts, over_full],
     }
     good_cases = [{key: value} for key, values in good.items() for value in values]
@@ -171,17 +169,32 @@ def test_counts_duplicate_cell_rejected() -> None:
         parse_counts("\n".join(lines))
 
 
+@pytest.mark.filterwarnings("error")
 def test_counts_version_gate() -> None:
     tables = small_tables()
     text = format_counts(tables)
-    assert text.splitlines()[0] == "format: mdiqkd-counts 1.0"
-    bumped_minor = text.replace("mdiqkd-counts 1.0", "mdiqkd-counts 1.7", 1)
+    assert text.splitlines()[:6] == [
+        "format: mdiqkd-counts 2.0",
+        "classes: signal=0.5 decoy=0.1 vacuum=0.0",
+        "pulses_total: 50000",
+        "seed: 23",
+        "mode: random",
+        "columns: class_a class_b sop_a sop_b pulses_sent c12 c34 c14 c23 c13 c24 other",
+    ]
+    bumped_minor = text.replace("mdiqkd-counts 2.0", "mdiqkd-counts 2.7", 1)
     assert parse_counts(bumped_minor) == tables
-    bumped_major = text.replace("mdiqkd-counts 1.0", "mdiqkd-counts 2.0", 1)
-    with pytest.raises(FormatError, match="major"):
+    # A 1.x file carries two keys that 2.0 retired; they are skipped unread,
+    # whatever their values, and without a warning.
+    for sifted, rate in (("false", "1000000.0"), ("true", "2e6"), ("maybe", "fast")):
+        retired = text.replace(
+            "mdiqkd-counts 2.0", "mdiqkd-counts 1.0", 1
+        ).replace("columns:", f"sifted: {sifted}\nrepetition_rate_hz: {rate}\ncolumns:", 1)
+        assert parse_counts(retired) == tables
+    bumped_major = text.replace("mdiqkd-counts 2.0", "mdiqkd-counts 3.0", 1)
+    with pytest.raises(FormatError, match=r"3\.0 \(this reader handles 1\.x and 2\.x\)$"):
         parse_counts(bumped_major)
     with pytest.raises(FormatError):
-        parse_counts(text.replace("mdiqkd-counts 1.0", "mdiqkd-gains 1.0", 1))
+        parse_counts(text.replace("mdiqkd-counts 2.0", "mdiqkd-gains 1.0", 1))
     with pytest.raises(FormatError, match="format"):
         parse_counts("pulses_total: 5\n" + text)
 
@@ -250,9 +263,6 @@ def set_header(key: str, value: str | None):
 @pytest.mark.parametrize(
     ("kind", "mutate", "message"),
     [
-        ("counts", set_header("sifted", "maybe"), "expected 'true' or 'false'"),
-        ("counts", set_header("repetition_rate_hz", "fast"), "expected a number"),
-        ("counts", set_header("repetition_rate_hz", "inf"), "expected a finite number"),
         ("counts", set_header("format", "mdiqkd-counts 1.x"), "malformed version"),
         ("counts", lambda text: "", "first line must be"),
         (
@@ -274,9 +284,6 @@ def set_header(key: str, value: str | None):
         ("gains", lambda text: text + "0.5 0.1 0.0\n", "expected 6 fields"),
     ],
     ids=[
-        "sifted-maybe",
-        "rate-not-a-number",
-        "rate-infinite",
         "malformed-version",
         "empty",
         "stray-header-line",
@@ -491,7 +498,6 @@ def test_session_config_defaults_and_full() -> None:
                 "mode = sweep",
                 "rect_prob = 0.6",
                 "batch_gates = 2500",
-                "repetition_rate_hz = 2e6",
                 "classes.signal = 0.6",
                 "classes.decoy = 0.2",
                 "class_probs = 0.2 0.6 0.2",
@@ -511,7 +517,6 @@ def test_session_config_defaults_and_full() -> None:
     assert full.channel_a.loss_db == 19.5
     assert full.channel_b.misalignment == 0.0
     assert full.detector.efficiency == 0.9
-    assert full.repetition_rate_hz == 2e6
 
 
 def test_session_config_errors() -> None:

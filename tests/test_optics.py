@@ -94,6 +94,9 @@ def test_attenuate_decibel_law() -> None:
     assert attenuate(0.5, 19.5) == pytest.approx(0.5 * 10.0 ** (-1.95), abs=EXACT_TOL)
     with pytest.raises(ParameterError):
         attenuate(0.5, -1.0)
+    for mu in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="^mean photon number must be finite and >= 0"):
+            attenuate(mu, 3.0)
 
 
 def test_standard_classes_contract() -> None:
@@ -106,6 +109,12 @@ def test_standard_classes_contract() -> None:
     with pytest.raises(ParameterError):
         validate_classes(
             (IntensityClass("a", 0.5), IntensityClass("b", 0.1), IntensityClass("c", 0.01))
+        )
+    with pytest.raises(ParameterError, match="^expected exactly 3 intensity classes, got 2$"):
+        validate_classes(classes[:2])
+    with pytest.raises(ParameterError, match="^intensity class labels must be distinct"):
+        validate_classes(
+            (IntensityClass("a", 0.5), IntensityClass("b", 0.1), IntensityClass("a", 0.0))
         )
     # A label must be a token the counts file can carry.
     for label in ("", "two words", "s=1", "a:b", "#x", None):

@@ -342,7 +342,7 @@ def test_memoized_law_changes_no_table() -> None:
 def test_count_tables_validation_and_copy() -> None:
     tables = run_session(make_config(pulses=100_000))
     # A simulated session keeps its mismatched-basis pulses.
-    assert not tables.sifted and tables.pulses_sent[:, :, 0, 2].sum() > 0
+    assert tables.pulses_sent[:, :, 0, 2].sum() > 0
     clone = dataclasses.replace(tables, counts=tables.counts.copy())
     assert clone == tables
     clone.counts[0, 0, 0, 1, 0] += 1
@@ -357,18 +357,6 @@ def test_count_tables_validation_and_copy() -> None:
             pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
             counts=np.zeros((3, 3, 4, 4, 6), dtype=np.int64),
         )
-    for rate in (0.0, math.inf, math.nan):
-        with pytest.raises(ParameterError):
-            CountTables(
-                class_labels=("a", "b", "c"),
-                class_mus=(0.5, 0.1, 0.0),
-                pulses_total=1,
-                seed=0,
-                mode="random",
-                pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
-                counts=np.zeros((3, 3, 4, 4, 7), dtype=np.int64),
-                repetition_rate_hz=rate,
-            )
 
 
 def test_session_config_validation() -> None:
@@ -383,9 +371,6 @@ def test_session_config_validation() -> None:
         make_config(rect_prob=1.5)
     with pytest.raises(ParameterError):
         make_config(mode="alternating")
-    for rate in (0.0, math.inf, math.nan):
-        with pytest.raises(ParameterError):
-            make_config(repetition_rate_hz=rate)
     with pytest.raises(ParameterError):
         make_config(batch_gates=0)
     with pytest.raises(ParameterError):
