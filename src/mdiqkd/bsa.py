@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .optics import SOP_BY_CODE, ParameterError, PolarizationState
+from .optics import SOP_BY_CODE, ParameterError, PolarizationState, check_nonnegative, check_range
 
 DIST_TOL = 1e-9
 MAX_FOCK_PHOTONS = 4
@@ -91,11 +91,9 @@ class BsaInput:
     overlap: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, mu in (("mu_a", self.mu_a), ("mu_b", self.mu_b)):
-            if not math.isfinite(mu) or mu < 0.0:
-                raise ParameterError(f"{name} must be finite and >= 0, got {mu!r}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ParameterError(f"overlap must lie in [0, 1], got {self.overlap!r}")
+        check_nonnegative("mu_a", self.mu_a)
+        check_nonnegative("mu_b", self.mu_b)
+        check_range("overlap", self.overlap, 0, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,8 +268,7 @@ def fock_bsa_oracle(
             f"total photon number {photons_a + photons_b} exceeds the supported "
             f"brute-force bound {MAX_FOCK_PHOTONS}"
         )
-    if not 0.0 <= overlap <= 1.0:
-        raise ParameterError(f"overlap must lie in [0, 1], got {overlap!r}")
+    check_range("overlap", overlap, 0, 1)
 
     amp_a, amp_b = _detector_amplitudes(sop_a, sop_b)
     root_common = math.sqrt(overlap)

@@ -41,7 +41,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optics import BASIS_LABELS, ParameterError, check_intensities, poisson_pmf
+from .optics import (
+    BASIS_LABELS,
+    ParameterError,
+    check_intensities,
+    check_nonnegative,
+    check_range,
+    poisson_pmf,
+)
 from .session import AGREE, COUNT_COLUMNS
 
 DEFAULT_TRUNCATION = 7
@@ -145,8 +152,7 @@ _BRACKET_LABELS = [(tag, i, j) for tag in ("Q", "QE") for i in range(3) for j in
 
 def shannon_entropy(p: float) -> float:
     """Binary entropy H2(p) in bits, with H2(0) = H2(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"entropy argument must lie in [0, 1], got {p!r}")
+    check_range("entropy argument", p, 0, 1)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -154,8 +160,7 @@ def shannon_entropy(p: float) -> float:
 
 def single_photon_gain(y11: float, mu_signal: float) -> float:
     """Gain of the (1, 1) photon component at signal intensity both sides."""
-    if not 0.0 <= y11 <= 1.0:
-        raise ParameterError(f"y11 must lie in [0, 1], got {y11!r}")
+    check_range("y11", y11, 0, 1)
     if not (math.isfinite(mu_signal) and mu_signal > 0.0):
         raise ParameterError(f"mu_signal must be finite and > 0, got {mu_signal!r}")
     return y11 * mu_signal**2 * math.exp(-2.0 * mu_signal)
@@ -171,9 +176,8 @@ def secret_key_rate(
 ) -> float:
     """Secret fraction per gate from the single-photon and error-correction terms."""
     _check_f_ec(f_ec)
-    for name, gain in (("q11", q11), ("q_rect", q_rect)):
-        if not (math.isfinite(gain) and gain >= 0.0):
-            raise ParameterError(f"{name} must be finite and >= 0, got {gain!r}")
+    check_nonnegative("q11", q11)
+    check_nonnegative("q_rect", q_rect)
     return q11 * (1.0 - shannon_entropy(e11)) - q_rect * shannon_entropy(e_rect) * f_ec
 
 
@@ -202,8 +206,7 @@ class _Program(NamedTuple):
 def _poisson_rows(mus: tuple[float, ...], truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-intensity Poisson rows P_m and the per-pair excluded tail masses."""
     check_intensities(mus)
-    if not 2 <= truncation <= MAX_TRUNCATION:
-        raise ParameterError(f"truncation must lie in [2, {MAX_TRUNCATION}], got {truncation!r}")
+    check_range("truncation", truncation, 2, MAX_TRUNCATION)
     ns = np.arange(truncation + 1)
     rows = np.stack([np.asarray(poisson_pmf(mu, ns), dtype=float) for mu in mus])
     kept = rows.sum(axis=1)

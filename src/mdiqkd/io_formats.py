@@ -35,7 +35,7 @@ import warnings as _warnings
 import numpy as np
 
 from .decoy import DecoyResult, GainErrorMatrices
-from .optics import ParameterError, check_intensities
+from .optics import ParameterError, check_intensities, check_range
 from .session import (
     COUNT_COLUMNS,
     DEFAULT_DELAY_GRID,
@@ -536,16 +536,13 @@ def parse_hom_config(text: str, *, source: str = "<string>") -> HomScanConfig:
         zip(("delays.start_ns", "delays.stop_ns", "delays.points"), DEFAULT_DELAY_GRID)
     )
     values = _read_config(text, source, {**_config_defaults(default), **grid_defaults})
-    if any(key in values for key in grid_defaults):
-        if "delays_ns" in values:
-            raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
-        start, stop, points = (values.pop(key, value) for key, value in grid_defaults.items())
-        if not 2 <= points <= MAX_DELAY_POINTS:
-            raise FormatError(
-                f"{source}: delays.points must lie in [2, {MAX_DELAY_POINTS}], got {points}"
-            )
-        values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
     try:
+        if any(key in values for key in grid_defaults):
+            if "delays_ns" in values:
+                raise FormatError(f"{source}: give delays_ns or a delays.* grid, not both")
+            start, stop, points = (values.pop(key, value) for key, value in grid_defaults.items())
+            check_range("delays.points", points, 2, MAX_DELAY_POINTS)
+            values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
         return _with_values(default, values)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc

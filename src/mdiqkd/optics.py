@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import re
 
 import numpy as np
@@ -32,6 +33,29 @@ def is_label(label: object) -> bool:
 
 class ParameterError(ValueError):
     """A constructor or function argument is outside its allowed range."""
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    """Refuse value unless it is a finite number >= 0."""
+    if not math.isfinite(value) or value < 0.0:
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_range(name: str, value: float, low: float, high: float) -> None:
+    """Refuse value unless low <= value <= high."""
+    if not low <= value <= high:
+        raise ParameterError(f"{name} must lie in [{low}, {high}], got {value!r}")
+
+
+def check_integer(name: str, value: int, low: int | None = None, int64: bool = False) -> None:
+    """Refuse a non-integer (numpy integers pass), one below low, and with int64 one >= 2**63."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and not low <= value < (2**63 if int64 else math.inf):
+        rule = f"lie in [{low}, 2**63)" if int64 else f"be >= {low}"
+        raise ParameterError(f"{name} must {rule}, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -74,8 +98,7 @@ def poisson_pmf(mu: float, n):
     Returns:
         float or ndarray matching the shape of n.
     """
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ParameterError(f"mean photon number must be finite and >= 0, got {mu!r}")
+    check_nonnegative("mean photon number", mu)
     n_arr = np.asarray(n)
     if not np.issubdtype(n_arr.dtype, np.integer):
         raise ParameterError("photon number n must be integer valued")
@@ -95,10 +118,8 @@ def poisson_pmf(mu: float, n):
 
 def attenuate(mu: float, loss_db: float) -> float:
     """Rescale a mean photon number through loss_db decibels of loss."""
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ParameterError(f"mean photon number must be finite and >= 0, got {mu!r}")
-    if not math.isfinite(loss_db) or loss_db < 0.0:
-        raise ParameterError(f"loss_db must be finite and >= 0, got {loss_db!r}")
+    check_nonnegative("mean photon number", mu)
+    check_nonnegative("loss_db", loss_db)
     return mu * 10.0 ** (-loss_db / 10.0)
 
 
@@ -115,10 +136,7 @@ class IntensityClass:
                 "intensity label must be a token without '=', ':' or a leading '#', "
                 f"got {self.label!r}"
             )
-        if not math.isfinite(self.mu) or self.mu < 0.0:
-            raise ParameterError(
-                f"mean photon number must be finite and >= 0, got {self.mu!r}"
-            )
+        check_nonnegative("mean photon number", self.mu)
 
 
 def standard_classes(
@@ -177,13 +195,6 @@ class ChannelModel:
     temporal_overlap: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.loss_db) or self.loss_db < 0.0:
-            raise ParameterError(f"loss_db must be finite and >= 0, got {self.loss_db!r}")
-        if not 0.0 <= self.misalignment <= 0.5:
-            raise ParameterError(
-                f"misalignment must lie in [0, 0.5], got {self.misalignment!r}"
-            )
-        if not 0.0 <= self.temporal_overlap <= 1.0:
-            raise ParameterError(
-                f"temporal_overlap must lie in [0, 1], got {self.temporal_overlap!r}"
-            )
+        check_nonnegative("loss_db", self.loss_db)
+        check_range("misalignment", self.misalignment, 0, 0.5)
+        check_range("temporal_overlap", self.temporal_overlap, 0, 1)

@@ -44,6 +44,9 @@ from .optics import (
     IntensityClass,
     ParameterError,
     attenuate,
+    check_integer,
+    check_nonnegative,
+    check_range,
     is_label,
     standard_classes,
     validate_classes,
@@ -71,9 +74,6 @@ _BASIS = np.arange(N_SOPS) >> 1
 AGREE = np.broadcast_to(_BASIS[:, None] == _BASIS, (N_CLASSES, N_CLASSES, N_SOPS, N_SOPS))
 # Sweep mode cycles through the 72 agreeing-basis configurations gate by gate,
 # in cell order: 9 intensity pairs x 8 same-basis state pairs, rectilinear first.
-SWEEP_SLOTS: tuple[tuple[int, int, int, int], ...] = tuple(
-    map(tuple, np.argwhere(AGREE).tolist())
-)
 _SWEEP_CELLS = np.flatnonzero(AGREE)
 
 
@@ -111,12 +111,9 @@ class SessionConfig:
     batch_gates: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.pulses < 2**63:
-            raise ParameterError(f"pulses must lie in [1, 2**63), got {self.pulses!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
-        if self.batch_gates < 1:
-            raise ParameterError(f"batch_gates must be >= 1, got {self.batch_gates!r}")
+        check_integer("pulses", self.pulses, 1, int64=True)
+        check_integer("seed", self.seed, 0)
+        check_integer("batch_gates", self.batch_gates, 1)
         validate_classes(self.classes)
         probs = self.class_probs
         if len(probs) != N_CLASSES or not all(0.0 <= p < math.inf for p in probs):
@@ -125,8 +122,7 @@ class SessionConfig:
             )
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ParameterError(f"class_probs must sum to 1, got {probs!r}")
-        if not 0.0 <= self.rect_prob <= 1.0:
-            raise ParameterError(f"rect_prob must lie in [0, 1], got {self.rect_prob!r}")
+        check_range("rect_prob", self.rect_prob, 0, 1)
         if self.mode not in (MODE_RANDOM, MODE_SWEEP):
             raise ParameterError(
                 f"mode must be {MODE_RANDOM!r} or {MODE_SWEEP!r}, got {self.mode!r}"
@@ -164,8 +160,8 @@ class CountTables:
             )
         if len(self.class_mus) != N_CLASSES or not all(0.0 <= m < math.inf for m in self.class_mus):
             raise ParameterError(f"class_mus must be 3 finite numbers >= 0, got {self.class_mus!r}")
-        if self.pulses_total < 0:
-            raise ParameterError(f"pulses_total must be >= 0, got {self.pulses_total!r}")
+        check_integer("pulses_total", self.pulses_total, 0)
+        check_integer("seed", self.seed)
         if not (isinstance(self.mode, str) and re.fullmatch(r"\S+", self.mode)):
             raise ParameterError(f"mode must be a single token, got {self.mode!r}")
         self.pulses_sent = np.asarray(self.pulses_sent, dtype=np.int64)
@@ -271,8 +267,7 @@ def run_session(config: SessionConfig, workers: int = 1) -> CountTables:
         config: session configuration.
         workers: accepted for old callers and ignored; it must be >= 1.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers!r}")
+    check_integer("workers", workers, 1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     law = _outcome_law(config)
     if config.mode == MODE_RANDOM:
@@ -328,8 +323,7 @@ class HomScanConfig:
     detector: DetectorModel = DetectorModel()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu) or self.mu < 0.0:
-            raise ParameterError(f"mu must be finite and >= 0, got {self.mu!r}")
+        check_nonnegative("mu", self.mu)
         if not 0.0 < self.pulse_width_ns < math.inf:
             raise ParameterError(
                 f"pulse_width_ns must be finite and > 0, got {self.pulse_width_ns!r}"
@@ -340,12 +334,8 @@ class HomScanConfig:
             )
         if len(self.delays_ns) == 0 or any(not math.isfinite(t) for t in self.delays_ns):
             raise ParameterError("delays_ns must be a non-empty tuple of finite floats")
-        if not 1 <= self.pulses_per_point < 2**63:
-            raise ParameterError(
-                f"pulses_per_point must lie in [1, 2**63), got {self.pulses_per_point!r}"
-            )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
+        check_integer("pulses_per_point", self.pulses_per_point, 1, int64=True)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -254,6 +254,11 @@ def test_counts_row_above_its_pulses_rejected() -> None:
             parse_counts(text)
 
 
+def set_last_value(token: str):
+    """A text edit that replaces the last field of the last row."""
+    return lambda text: text.rstrip().rsplit(" ", 1)[0] + f" {token}\n"
+
+
 def set_header(key: str, value: str | None):
     """A text edit that sets a header line's value, or drops the line for None."""
     line = "" if value is None else f"{key}: {value}"
@@ -282,6 +287,18 @@ def set_header(key: str, value: str | None):
         ("counts", set_header("mode", "random sweep"), "^<string>: mode must be a single token"),
         ("gains", set_header("mus", "0.5 0.1"), r"^<string>:2: mus must have 3 entries"),
         ("gains", lambda text: text + "0.5 0.1 0.0\n", "expected 6 fields"),
+        ("gains", set_last_value("abc"), r"^<string>:\d+: expected a number, got 'abc'$"),
+        ("gains", set_last_value("nan"), r"^<string>:\d+: expected a finite number, got 'nan'$"),
+        (
+            "counts",
+            set_header("classes", "signal=inf decoy=0.1 vacuum=0.0"),
+            r"^<string>:\d+: expected a finite number, got 'inf'$",
+        ),
+        (
+            "session",
+            lambda text: "channel_a.loss_db = nan\n",
+            r"^<string>:1 \(channel_a.loss_db\): expected a finite number, got 'nan'$",
+        ),
     ],
     ids=[
         "malformed-version",
@@ -295,13 +312,19 @@ def set_header(key: str, value: str | None):
         "mode-refused-by-tables",
         "two-mus",
         "short-gains-row",
+        "gain-not-a-number",
+        "gain-nan",
+        "class-mu-infinite",
+        "config-loss-nan",
     ],
 )
 def test_reader_refusals(kind, mutate, message) -> None:
     if kind == "counts":
         text, parse = format_counts(small_tables()), parse_counts
-    else:
+    elif kind == "gains":
         text, parse = format_gains(geometric_matrices()), parse_gains
+    else:
+        text, parse = "", parse_session_config
     with pytest.raises(FormatError, match=message):
         parse(mutate(text))
 

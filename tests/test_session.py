@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mdiqkd.bsa import (
     DetectorModel,
     coherent_click_probs,
 )
+from mdiqkd.io_formats import format_counts, parse_counts
 from mdiqkd.optics import (
     ChannelModel,
     IntensityClass,
@@ -29,13 +31,21 @@ from mdiqkd.session import (
     CountTables,
     HomScanConfig,
     HomScanResult,
-    SWEEP_SLOTS,
     SessionConfig,
     hom_scan,
     run_session,
 )
 
 Z_LIMIT = 5.0
+# Sweep mode's cycle: the 72 same-basis (ia, ib, sa, sb) slots in cell order.
+SWEEP_ORDER = [
+    (ia, ib, sa, sb)
+    for ia in range(3)
+    for ib in range(3)
+    for sa in range(4)
+    for sb in range(4)
+    if sa >> 1 == sb >> 1
+]
 
 
 def make_config(**overrides) -> SessionConfig:
@@ -128,13 +138,13 @@ def test_sweep_mode_covers_slots_evenly() -> None:
         for sb in range(4)
     }
     # The first five slots of the cycle take the five extra gates.
-    for slot in SWEEP_SLOTS:
-        assert flat[slot] == (1001 if slot in SWEEP_SLOTS[:5] else 1000)
-    assert SWEEP_SLOTS[:8] == (
+    for slot in SWEEP_ORDER:
+        assert flat[slot] == (1001 if slot in SWEEP_ORDER[:5] else 1000)
+    assert SWEEP_ORDER[:8] == [
         (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
         (0, 0, 2, 2), (0, 0, 2, 3), (0, 0, 3, 2), (0, 0, 3, 3),
-    )
-    slots = set(SWEEP_SLOTS)
+    ]
+    slots = set(SWEEP_ORDER)
     for cell, pulses in flat.items():
         if cell not in slots:
             assert pulses == 0
@@ -180,7 +190,7 @@ def per_gate_tallies(config: SessionConfig, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = config.pulses
     if config.mode == "sweep":
-        ia, ib, sa, sb = np.asarray(SWEEP_SLOTS)[np.arange(n) % len(SWEEP_SLOTS)].T
+        ia, ib, sa, sb = np.asarray(SWEEP_ORDER)[np.arange(n) % len(SWEEP_ORDER)].T
     else:
         r = config.rect_prob
         prep = np.outer(config.class_probs, [r / 2, r / 2, (1 - r) / 2, (1 - r) / 2]).ravel()
@@ -339,6 +349,122 @@ def test_memoized_law_changes_no_table() -> None:
         assert mdiqkd.session._channel_law.cache_info().currsize == 1
 
 
+# Ma & Razavi's closed forms (PRA 86, 062319 (2012)) for polarization MDI-QKD
+# with threshold detectors, for mus (0.5, 0.1, 0) at each sender.  Keyed by
+# (loss_a, loss_b, efficiency, dark_prob, link-A misalignment); the values are
+# (q_rect, q_diag, e_rect, e_diag), each indexed [signal/decoy/vacuum at A, at B].
+# With transmittances eta = efficiency 10**(-loss / 10), a = eta_a mu_a,
+# b = eta_b mu_b, Y0 = dark_prob, e_d = the misalignment, x = sqrt(a b) / 2 and
+# y = (1 - Y0) exp(-(a + b) / 4):
+#   Q_C = 2 (1 - Y0)^2 e^{-(a+b)/2} [1 - (1 - Y0) e^{-a/2}] [1 - (1 - Y0) e^{-b/2}]
+#   Q_E = 2 Y0 (1 - Y0)^2 e^{-(a+b)/2} [I0(2x) - (1 - Y0) e^{-(a+b)/2}]
+#   q_rect = Q_C + Q_E,  e_rect q_rect = e_d Q_C + (1 - e_d) Q_E
+#   q_diag = 2 y^2 [1 + 2 y^2 - 4 y I0(x) + I0(2x)]
+#   e_diag q_diag = q_diag / 2 - 2 (1/2 - e_d) y^2 [I0(2x) - 1]
+# Evaluated once at 50 digits with mpmath 1.3.0 and rounded to float.
+MA_RAZAVI_REFERENCE = {
+    (3.0, 7.0, 0.8, 3e-06, 0.05): (
+        [
+            [0.006487757573139293, 0.001361929852130113, 1.0353899361150942e-06],
+            [0.0014631641398914037, 0.00030715185689616386, 2.3348042171366956e-07],
+            [4.5110070959378925e-07, 9.466799123429834e-08, 3.5999784000324e-11],
+        ],
+        [
+            [0.016400120941970006, 0.010035757380226528, 0.00864769044831754],
+            [0.003330811077974443, 0.0007579234334897318, 0.00039022928881174635],
+            [0.001500393384578546, 6.303332357700451e-05, 3.5999784000324e-11],
+        ],
+        [
+            [0.0500975066774832, 0.05036782221861615, 0.5],
+            [0.050205054052771404, 0.05047527634782919, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+        [
+            [0.309004156402257, 0.4356026643391123, 0.5],
+            [0.2963756992637114, 0.31525219653255965, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+    ),
+    (19.5, 19.5, 1.0, 1.5e-05, 0.019): (
+        [
+            [1.5938905828731843e-05, 3.3332038992695623e-06, 1.684860756025881e-07],
+            [3.3332038992695623e-06, 6.964892057868546e-07, 3.45301949838212e-08],
+            [1.684860756025881e-07, 3.45301949838212e-08, 8.999730002025001e-10],
+        ],
+        [
+            [3.1586766221655215e-05, 1.1479917165172228e-05, 8.003381805148306e-06],
+            [1.1479917165172228e-05, 1.3252177989440392e-06, 3.4898265982578444e-07],
+            [8.003381805148306e-06, 3.4898265982578444e-07, 8.999730002025001e-10],
+        ],
+        [
+            [0.029113602679546345, 0.04813937979620814, 0.5],
+            [0.04813937979620814, 0.06604598512662366, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+        [
+            [0.26171246949303817, 0.3685769283701544, 0.5],
+            [0.3685769283701544, 0.27179374747865487, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+    ),
+    (0.0, 0.0, 0.5, 0.001, 0.0): (
+        [
+            [0.02215582580018219, 0.005466069484748841, 0.00041706429972235883],
+            [0.005466069484748841, 0.0013462600532097883, 9.992671419972836e-05],
+            [0.00041706429972235883, 9.992671419972836e-05, 3.992004e-06],
+        ],
+        [
+            [0.046522334898443686, 0.018798850921869958, 0.01333602694941205],
+            [0.018798850921869958, 0.002531933587679392, 0.0007001268561745124],
+            [0.01333602694941205, 0.0007001268561745124, 3.992004e-06],
+        ],
+        [
+            [0.016674894791070174, 0.04503267561703324, 0.5],
+            [0.04503267561703324, 0.0710051821566068, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+        [
+            [0.2379332195348434, 0.3570958635755547, 0.5],
+            [0.3570958635755547, 0.26562471259869014, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+    ),
+}
+
+
+def test_outcome_law_matches_ma_razavi_closed_forms() -> None:
+    # The law sums inclusion-exclusion terms near 1 into probabilities far
+    # below 1, so each probability carries an absolute round-off of a few tens
+    # of eps (at 19.5 dB the decoy-decoy q_diag is 2.7e-9 off in relative
+    # terms); q and the error-weighted gain q e are compared at rel 1e-12 above
+    # an absolute floor of 32 eps.  Misalignment is set on link A only: the map
+    # of flips on both links to one e_d is not verified here.
+    floor = 32 * np.finfo(float).eps
+    same_bit = np.eye(2, dtype=bool)
+    for (loss_a, loss_b, efficiency, dark, mis_a), reference in MA_RAZAVI_REFERENCE.items():
+        config = make_config(
+            channel_a=ChannelModel(loss_db=loss_a, misalignment=mis_a),
+            channel_b=ChannelModel(loss_db=loss_b),
+            detector=DetectorModel(efficiency=efficiency, dark_prob=dark),
+        )
+        law = mdiqkd.session._outcome_law(config).reshape(3, 3, 4, 4, 8)
+        # Columns c12, c34 are psi+ and c14, c23 psi-.
+        psi_plus, psi_minus = law[..., 0] + law[..., 1], law[..., 2] + law[..., 3]
+        for basis, q_ref, e_ref in ((0, reference[0], reference[2]), (1, reference[1], reference[3])):
+            cells = slice(2 * basis, 2 * basis + 2)
+            plus, minus = psi_plus[:, :, cells, cells], psi_minus[:, :, cells, cells]
+            # A rectilinear error is any coincidence on equal bits; a diagonal
+            # one is psi- on equal bits or psi+ on opposite bits.
+            if basis == 0:
+                wrong = (plus + minus)[:, :, same_bit].sum(axis=-1)
+            else:
+                wrong = minus[:, :, same_bit].sum(axis=-1) + plus[:, :, ~same_bit].sum(axis=-1)
+            q = (plus + minus).sum(axis=(2, 3)) / 4.0
+            q_ref, e_ref = np.array(q_ref), np.array(e_ref)
+            np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(wrong / 4.0, q_ref * e_ref, rtol=1e-12, atol=floor)
+
+
 def test_count_tables_validation_and_copy() -> None:
     tables = run_session(make_config(pulses=100_000))
     # A simulated session keeps its mismatched-basis pulses.
@@ -453,6 +579,54 @@ def test_hom_config_validation() -> None:
         with pytest.raises(ParameterError):
             make_hom_config(**bad)
 
+
+def make_tables(**overrides) -> CountTables:
+    base = dict(
+        class_labels=("signal", "decoy", "vacuum"),
+        class_mus=(0.5, 0.1, 0.0),
+        pulses_total=0,
+        seed=0,
+        mode="random",
+        pulses_sent=np.zeros((3, 3, 4, 4), dtype=np.int64),
+        counts=np.zeros((3, 3, 4, 4, 7), dtype=np.int64),
+    )
+    base.update(overrides)
+    return CountTables(**base)
+
+
+def test_counts_and_seeds_must_be_integers() -> None:
+    # A fractional count once passed: pulses=1000.5 sent 1000 gates but
+    # recorded pulses_total 1000.5, and a fractional seed failed inside numpy.
+    for build, field, value in (
+        (make_config, "pulses", 1000.5),
+        (make_config, "seed", 2.5),
+        (make_config, "batch_gates", 1.5),
+        (make_hom_config, "pulses_per_point", 100_000.5),
+        (make_hom_config, "seed", 2.5),
+        (make_hom_config, "seed", np.float64(3.0)),
+        (make_tables, "pulses_total", 1.5),
+        (make_tables, "seed", 1.5),
+    ):
+        message = rf"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ParameterError, match=message):
+            build(**{field: value})
+    # The range rules keep their texts.
+    for build, field, value, rule in (
+        (make_config, "pulses", 0, r"lie in \[1, 2\*\*63\)"),
+        (make_config, "seed", -1, "be >= 0"),
+        (make_config, "batch_gates", 0, "be >= 1"),
+        (make_hom_config, "pulses_per_point", 2**63, r"lie in \[1, 2\*\*63\)"),
+        (make_hom_config, "seed", -1, "be >= 0"),
+        (make_tables, "pulses_total", -1, "be >= 0"),
+    ):
+        with pytest.raises(ParameterError, match=rf"^{field} must {rule}, got {value}$"):
+            build(**{field: value})
+    # numpy integers pass, and a count file keeps any integer seed.
+    config = make_config(pulses=np.int64(1000), seed=np.uint32(3), batch_gates=np.int8(1))
+    assert run_session(config) == run_session(make_config(pulses=1000, seed=3))
+    assert make_hom_config(pulses_per_point=np.int32(1000), seed=np.int64(5)).seed == 5
+    tables = make_tables(pulses_total=np.int64(0), seed=np.int64(-7))
+    assert parse_counts(format_counts(tables)) == tables
 
 def test_hom_scan_rates_follow_analyzer_response() -> None:
     # 1e9 pulses per delay put each rate within ~1% of its C13 probability,
