@@ -4,10 +4,12 @@ Layout: a 50:50 coupler with transmission amplitude 1/sqrt(2) and reflection
 amplitude i/sqrt(2), followed by one polarizing splitter per output port.
 Detectors are numbered 1..4 as (port1, H), (port1, V), (port2, H), (port2, V).
 
-Outcome rule over the 16 click patterns, applied by psi_probs and nowhere else:
+Outcome rule over the 16 click patterns, declared once as _PSI_PATTERNS:
   * exactly detectors {1, 2} or exactly {3, 4} fire: psi+
   * exactly detectors {1, 4} or exactly {2, 3} fire: psi-
   * every other pattern, including no clicks, is not counted
+psi_probs reads it here; session folds it into its tally-column layout, from
+which decoy takes the conclusive and error columns.
 
 Temporal-mode model: each source occupies a common mode with amplitude weight
 sqrt(overlap) plus its own leftover mode with weight sqrt(1 - overlap).  In the
@@ -48,6 +50,10 @@ COINCIDENCE_PATTERNS: dict[str, int] = {
     "C13": 0b0101,
     "C24": 0b1010,
 }
+# The coincidence patterns that announce psi+ (row 0) and psi- (row 1).
+_PSI_PATTERNS = np.array(
+    [[COINCIDENCE_PATTERNS[name] for name in pair] for pair in (("C12", "C34"), ("C14", "C23"))]
+)
 
 _BITS = ((np.arange(PATTERN_COUNT)[:, None] >> np.arange(4)[None, :]) & 1).astype(bool)
 
@@ -117,14 +123,9 @@ def psi_probs(pattern_probs) -> np.ndarray:
     """Probabilities of the (psi+, psi-) announcements, shape (..., 2).
 
     pattern_probs holds pattern distributions on its last axis, as
-    _pattern_table returns them; psi+ is C12 + C34 and psi- is C14 + C23.
+    _pattern_table returns them; each announcement sums its row of _PSI_PATTERNS.
     """
-    probs = np.asarray(pattern_probs, dtype=float)
-    c = COINCIDENCE_PATTERNS
-    return np.stack(
-        (probs[..., c["C12"]] + probs[..., c["C34"]], probs[..., c["C14"]] + probs[..., c["C23"]]),
-        axis=-1,
-    )
+    return np.asarray(pattern_probs, dtype=float)[..., _PSI_PATTERNS].sum(axis=-1)
 
 
 def _detector_amplitudes(

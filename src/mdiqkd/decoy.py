@@ -49,7 +49,7 @@ from .optics import (
     check_range,
     poisson_pmf,
 )
-from .session import AGREE, COUNT_COLUMNS
+from .session import AGREE, _PSI_COLUMNS
 
 DEFAULT_TRUNCATION = 7
 # Ceiling on the photon-number truncation: the bounds stop moving past T ~ 15 at
@@ -187,8 +187,9 @@ class _Program(NamedTuple):
     a_eq is dense (at most 19 rows).  Row k of a_ub holds ub_vals[k] at the
     columns ub_cols[k], two entries per row (up to 2 len(cells) + 18 rows).
     cells holds the flat indices m (T + 1) + n of the surface entries the
-    program keeps, in order; each surface of x takes len(cells) columns.  The
-    other fields tell _diagnose what to check when there is no solution.
+    program keeps, in order; each surface of x takes len(cells) columns, and
+    y11 is the column of Y^{11} in the first.  The other fields tell
+    _diagnose what to check when there is no solution.
     """
 
     c: np.ndarray
@@ -196,6 +197,7 @@ class _Program(NamedTuple):
     b_eq: np.ndarray
     bounds: np.ndarray
     cells: np.ndarray
+    y11: int
     ub_cols: np.ndarray = np.empty((0, 2), dtype=int)
     ub_vals: np.ndarray = np.empty((0, 2))
     scale: np.ndarray | None = None
@@ -240,23 +242,20 @@ def _bracket_program(rows: np.ndarray, tails: np.ndarray, matrices: list[np.ndar
     kept = a.any(axis=(0, 1))
     kept[width + 1] = True
     cells = np.flatnonzero(kept)
+    y11 = int(np.searchsorted(cells, width + 1))
     a = a[:, :, cells].reshape(len(hi), -1)
     n_brackets, n_vars = a.shape
     c = np.zeros(n_vars + n_brackets)
-    c[_y11_column(cells, width)] = 1.0
+    c[y11] = 1.0
     return _Program(
         c=c,
         a_eq=np.hstack([a, np.eye(n_brackets)]),
         b_eq=hi * scale,
         bounds=np.column_stack([np.zeros(len(c)), np.append(np.ones(n_vars), widths)]),
         cells=cells,
+        y11=y11,
         scale=scale,
     )
-
-
-def _y11_column(cells: np.ndarray, width: int) -> int:
-    """Column of Y^{11} in a surface over the kept cells."""
-    return int(np.searchsorted(cells, width + 1))
 
 
 def _error_programs(
@@ -275,8 +274,7 @@ def _error_programs(
     without a solution; plain's diagnosis tells which.
     """
     plain = _bracket_program(rows, tails, [gains, gains * qbers])
-    n_half = len(plain.cells)
-    y11 = _y11_column(plain.cells, rows.shape[1])
+    n_half, y11 = len(plain.cells), plain.y11
     n_cols = len(plain.c)
     capped = np.r_[:n_half, 2 * n_half : n_cols]
     upper = plain.bounds[capped, 1]
@@ -297,6 +295,7 @@ def _error_programs(
         b_eq=np.eye(1, len(plain.b_eq) + 1)[0],
         bounds=np.repeat([[0.0, np.inf]], len(c), axis=0),
         cells=plain.cells,
+        y11=y11,
         ub_cols=cols,
         ub_vals=vals,
         plain=plain,
@@ -390,15 +389,12 @@ def _diagnose(program: _Program) -> None:
         _checked_denominator(float(program.c @ res.x))
 
 
-def _error_bound(
-    y_x: np.ndarray, ratio_x: np.ndarray, programs: list[_Program], width: int
-) -> float:
+def _error_bound(y_x: np.ndarray, ratio_x: np.ndarray, programs: list[_Program]) -> float:
     y_program, ratio = programs
     _checked_denominator(float(y_program.c @ y_x))
-    z11 = _y11_column(ratio.cells, width)
     if ratio_x[-1] <= 0.0:
         raise DegenerateBoundError("error ratio vertex has t = 0: gains below the solver tolerance")
-    return min(0.5, max(0.0, float(ratio_x[len(ratio.cells) + z11] / ratio_x[z11])))
+    return min(0.5, max(0.0, float(ratio_x[len(ratio.cells) + ratio.y11] / ratio_x[ratio.y11])))
 
 
 def lp_bound_yield(
@@ -418,7 +414,7 @@ def lp_bound_yield(
     rows, tails = _poisson_rows(mus, truncation)
     program = _bracket_program(rows, tails, [gains])
     (x,) = _solve([program])
-    return float(x[_y11_column(program.cells, rows.shape[1])])
+    return float(x[program.y11])
 
 
 def lp_bound_error(
@@ -448,20 +444,19 @@ def lp_bound_error(
     qbers = checked_matrix("qbers", qbers)
     rows, tails = _poisson_rows(mus, truncation)
     programs = _error_programs(rows, tails, gains, qbers)
-    return _error_bound(*_solve(programs), programs, rows.shape[1])
+    return _error_bound(*_solve(programs), programs)
 
 
-# The error columns of each same-basis cell, shape (basis, a, b, column): for
-# rectilinear preparation both conclusive outcomes imply anticorrelated bits,
-# so identical-bit cells are errors in all four conclusive columns.  For
-# diagonal preparation the {1,4}/{2,3} outcome implies anticorrelated bits
-# while {1,2}/{3,4} implies correlated ones, so the erroneous columns depend
-# on the prepared pair.
+# The conclusive columns, and the error columns of each same-basis cell, shape
+# (basis, a, b, column): for rectilinear preparation both conclusive outcomes
+# imply anticorrelated bits, so identical-bit cells are errors in every
+# conclusive column.  For diagonal preparation psi- implies anticorrelated bits
+# while psi+ implies correlated ones, so the erroneous columns depend on the
+# prepared pair.
+_CONCLUSIVE = _PSI_COLUMNS.any(axis=0)
 _SAME_BIT = np.eye(2, dtype=bool)[:, :, None]
-_C12_C34 = np.isin(COUNT_COLUMNS, ("c12", "c34"))
-_C14_C23 = np.isin(COUNT_COLUMNS, ("c14", "c23"))
 _ERROR_COLUMNS = np.stack(
-    [_SAME_BIT & (_C12_C34 | _C14_C23), np.where(_SAME_BIT, _C14_C23, _C12_C34)]
+    [_SAME_BIT & _CONCLUSIVE, np.where(_SAME_BIT, _PSI_COLUMNS[1], _PSI_COLUMNS[0])]
 )
 # The (i, j, code_a, code_b) index of each agreeing cell of session.AGREE, on
 # the axes (basis, i, j, a, b), and the index arrays that gather them.
@@ -485,7 +480,7 @@ def matrices_from_counts(tables) -> tuple[GainErrorMatrices, list[str]]:
     empty = pulses <= 0
     if empty.any():
         raise InsufficientCountsError(f"cell {tuple(_CELL_INDEX[empty][0].tolist())} has no pulses")
-    conclusive = counts[..., :4].sum(axis=-1)
+    conclusive = counts[..., _CONCLUSIVE].sum(axis=-1)
     gains = (conclusive / pulses).mean(axis=(3, 4))
     total = conclusive.sum(axis=(3, 4))
     wrong = (counts * _ERROR_COLUMNS[:, None, None]).sum(axis=(3, 4, 5))
@@ -506,12 +501,11 @@ def analyze_matrices(
     """Run the full bounding pipeline on measured gain/error matrices."""
     rows, tails = _poisson_rows(matrices.mus, truncation)
     _check_f_ec(f_ec)
-    width = rows.shape[1]
     rect = _bracket_program(rows, tails, [matrices.q_rect])
     diag = _error_programs(rows, tails, matrices.q_diag, matrices.e_diag)
     rect_x, *diag_x = _solve([rect, *diag])
-    y11 = float(rect_x[_y11_column(rect.cells, width)])
-    e11 = _error_bound(*diag_x, diag, width)
+    y11 = float(rect_x[rect.y11])
+    e11 = _error_bound(*diag_x, diag)
     q11 = single_photon_gain(y11, matrices.mus[0])
     q_rect = float(matrices.q_rect[0, 0])
     e_rect = float(matrices.e_rect[0, 0])

@@ -433,53 +433,41 @@ def format_hom_table(result: HomScanResult) -> str:
 # and their defaults come from the config dataclasses' fields.
 
 
-def _config_defaults(default, prefix: str = "") -> dict[str, object]:
-    """Dotted config key -> default value for every leaf field of a config.
+def _walk(config, leaf, prefix: str = ""):
+    """Copy of a config with each leaf field set to leaf(dotted key, value).
 
     A nested dataclass field takes dotted keys, and an intensity-class tuple
-    takes one classes.<label> key per class, setting that class's mu.
-    """
-    out: dict[str, object] = {}
-    for field in dataclasses.fields(default):
-        key = prefix + field.name
-        value = getattr(default, field.name)
-        if dataclasses.is_dataclass(value):
-            out.update(_config_defaults(value, key + "."))
-        elif field.name == "classes":
-            out.update({f"{key}.{c.label}": c.mu for c in value})
-        else:
-            out[key] = value
-    return out
-
-
-def _with_values(default, values: dict[str, object], prefix: str = ""):
-    """Copy of a config with the dotted keys in values set.
-
-    dataclasses.replace re-runs each __post_init__, so every value is
-    validated as if passed to the constructor.
+    takes one classes.<label> leaf per class, its mu.  So _walk(default,
+    table.setdefault) fills table with every key's default, and
+    _walk(default, values.get) sets the keys in values.  dataclasses.replace
+    re-runs each __post_init__, so every value is validated as if passed to
+    the constructor.
     """
     changes: dict[str, object] = {}
-    for field in dataclasses.fields(default):
+    for field in dataclasses.fields(config):
         key = prefix + field.name
-        value = getattr(default, field.name)
+        value = getattr(config, field.name)
         if dataclasses.is_dataclass(value):
-            changes[field.name] = _with_values(value, values, key + ".")
+            changes[field.name] = _walk(value, leaf, key + ".")
         elif field.name == "classes":
             changes[field.name] = tuple(
-                dataclasses.replace(c, mu=values.get(f"{key}.{c.label}", c.mu))
-                for c in value
+                dataclasses.replace(c, mu=leaf(f"{key}.{c.label}", c.mu)) for c in value
             )
-        elif key in values:
-            changes[field.name] = values[key]
-    return dataclasses.replace(default, **changes)
+        else:
+            changes[field.name] = leaf(key, value)
+    return dataclasses.replace(config, **changes)
 
 
-def _read_config(text: str, source: str, defaults: dict[str, object]) -> dict[str, object]:
+def _read_config(text: str, source: str, config, extra=()) -> dict[str, object]:
     """Parse config text into values for the keys it sets.
 
-    Each value is parsed by the type of its key's default: int, float, str,
-    or a whitespace-separated tuple of floats.
+    The keys are the leaves of config, with its values as their defaults, and
+    the keys of the (key, default) pairs of extra.  Each value is parsed by
+    the type of its key's default: int, float, str, or a whitespace-separated
+    tuple of floats.
     """
+    defaults = dict(extra)
+    _walk(config, defaults.setdefault)
     values: dict[str, object] = {}
     for lineno, line in _content_lines(text):
         where = f"{source}:{lineno}"
@@ -511,9 +499,9 @@ def parse_session_config(text: str, *, source: str = "<string>") -> SessionConfi
     Keys not in the text keep their SessionConfig defaults.
     """
     default = SessionConfig()
-    values = _read_config(text, source, _config_defaults(default))
+    values = _read_config(text, source, default)
     try:
-        return _with_values(default, values)
+        return _walk(default, values.get)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -535,7 +523,7 @@ def parse_hom_config(text: str, *, source: str = "<string>") -> HomScanConfig:
     grid_defaults = dict(
         zip(("delays.start_ns", "delays.stop_ns", "delays.points"), DEFAULT_DELAY_GRID)
     )
-    values = _read_config(text, source, {**_config_defaults(default), **grid_defaults})
+    values = _read_config(text, source, default, grid_defaults)
     try:
         if any(key in values for key in grid_defaults):
             if "delays_ns" in values:
@@ -543,7 +531,7 @@ def parse_hom_config(text: str, *, source: str = "<string>") -> HomScanConfig:
             start, stop, points = (values.pop(key, value) for key, value in grid_defaults.items())
             check_range("delays.points", points, 2, MAX_DELAY_POINTS)
             values["delays_ns"] = tuple(np.linspace(start, stop, points).tolist())
-        return _with_values(default, values)
+        return _walk(default, values.get)
     except ParameterError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

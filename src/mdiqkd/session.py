@@ -37,6 +37,7 @@ from .bsa import (
     DetectorModel,
     _CODE_AMPS_A,
     _CODE_AMPS_B,
+    _PSI_PATTERNS,
     _pattern_table,
 )
 from .optics import (
@@ -56,14 +57,16 @@ N_CLASSES = 3
 N_SOPS = 4
 N_CELLS = N_CLASSES * N_CLASSES * N_SOPS * N_SOPS
 
-# Tally columns per cell, in serialization order.  The first four are the
-# conclusive coincidence classes; "other" absorbs every remaining pattern.
-COUNT_COLUMNS = ("c12", "c34", "c14", "c23", "c13", "c24", "other")
+# Tally columns per cell, in serialization order: one per coincidence pattern,
+# in the order of bsa.COINCIDENCE_PATTERNS, then "other", which absorbs every
+# remaining pattern.  _FOLD maps each pattern to its column, and _PSI_COLUMNS
+# marks the columns that announce psi+ (row 0) and psi- (row 1): the
+# conclusive ones.
+COUNT_COLUMNS = (*(name.lower() for name in COINCIDENCE_PATTERNS), "other")
 N_COLUMNS = len(COUNT_COLUMNS)
-_COLUMN_BY_NAME = {name.upper(): k for k, name in enumerate(COUNT_COLUMNS[:-1])}
 _FOLD = np.full(PATTERN_COUNT, N_COLUMNS - 1, dtype=np.int64)
-for _name, _pattern in COINCIDENCE_PATTERNS.items():
-    _FOLD[_pattern] = _COLUMN_BY_NAME[_name]
+_FOLD[list(COINCIDENCE_PATTERNS.values())] = np.arange(N_COLUMNS - 1)
+_PSI_COLUMNS = np.eye(N_COLUMNS, dtype=bool)[_FOLD[_PSI_PATTERNS]].any(axis=1)
 
 MODE_RANDOM = "random"
 MODE_SWEEP = "sweep"

@@ -328,7 +328,7 @@ def test_error_bound_refuses_a_ratio_vertex_with_t_zero() -> None:
     y_x, ratio_x = _solve(programs)
     ratio_x[-1] = 0.0
     with pytest.raises(DegenerateBoundError, match="t = 0"):
-        _error_bound(y_x, ratio_x, programs, rows.shape[1])
+        _error_bound(y_x, ratio_x, programs)
 
 
 def test_tiny_diagonal_gains_give_one_bound() -> None:
@@ -472,7 +472,7 @@ def test_widening_a_bracket_never_tightens_a_bound() -> None:
                 rect = _bracket_program(rows, rect_tails, [matrices.q_rect])
                 diag = _error_programs(rows, diag_tails, matrices.q_diag, matrices.e_diag)
                 rect_x, *diag_x = _solve([rect, *diag])
-                return float(rect.c @ rect_x), _error_bound(*diag_x, diag, rows.shape[1])
+                return float(rect.c @ rect_x), _error_bound(*diag_x, diag)
 
             y11, e11 = bounds(tails, tails)
             for (i, j), fraction in itertools.product(np.ndindex(3, 3), (1e-6, 1e-3, 0.1)):

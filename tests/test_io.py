@@ -31,7 +31,7 @@ from mdiqkd.io_formats import (
     parse_session_config,
     read_text,
 )
-from mdiqkd.io_formats import _config_defaults, _write_atomic
+from mdiqkd.io_formats import _walk, _write_atomic
 from mdiqkd.optics import ChannelModel, ParameterError, check_intensities, standard_classes
 from mdiqkd.session import (
     MAX_DELAY_POINTS,
@@ -614,12 +614,19 @@ def readme_config_tables() -> tuple[dict[str, str], dict[str, str]]:
     return expanded[0], expanded[1]
 
 
+def config_keys(config) -> set[str]:
+    """The dotted keys of a config's leaf fields."""
+    keys: dict[str, object] = {}
+    _walk(config, keys.setdefault)
+    return set(keys)
+
+
 def test_readme_config_tables_match_reader() -> None:
     session_rows, hom_rows = readme_config_tables()
     grid_keys = {"delays.start_ns", "delays.stop_ns", "delays.points"}
     for parse, rows, keys in (
-        (parse_session_config, session_rows, set(_config_defaults(SessionConfig()))),
-        (parse_hom_config, hom_rows, set(_config_defaults(HomScanConfig())) | grid_keys),
+        (parse_session_config, session_rows, config_keys(SessionConfig())),
+        (parse_hom_config, hom_rows, config_keys(HomScanConfig()) | grid_keys),
     ):
         assert set(rows) == keys
         default = parse("")

@@ -351,19 +351,21 @@ def test_memoized_law_changes_no_table() -> None:
 
 # Ma & Razavi's closed forms (PRA 86, 062319 (2012)) for polarization MDI-QKD
 # with threshold detectors, for mus (0.5, 0.1, 0) at each sender.  Keyed by
-# (loss_a, loss_b, efficiency, dark_prob, link-A misalignment); the values are
-# (q_rect, q_diag, e_rect, e_diag), each indexed [signal/decoy/vacuum at A, at B].
-# With transmittances eta = efficiency 10**(-loss / 10), a = eta_a mu_a,
-# b = eta_b mu_b, Y0 = dark_prob, e_d = the misalignment, x = sqrt(a b) / 2 and
-# y = (1 - Y0) exp(-(a + b) / 4):
+# (loss_a, loss_b, efficiency, dark_prob, misalignment_a, misalignment_b); the
+# values are (q_rect, q_diag, e_rect, e_diag), each indexed [signal/decoy/vacuum
+# at A, at B].  With transmittances eta = efficiency 10**(-loss / 10),
+# a = eta_a mu_a, b = eta_b mu_b, Y0 = dark_prob, x = sqrt(a b) / 2,
+# y = (1 - Y0) exp(-(a + b) / 4) and e_d = m_a (1 - m_b) + m_b (1 - m_a), the
+# chance that exactly one link flips the state (m_a, m_b the misalignments):
 #   Q_C = 2 (1 - Y0)^2 e^{-(a+b)/2} [1 - (1 - Y0) e^{-a/2}] [1 - (1 - Y0) e^{-b/2}]
 #   Q_E = 2 Y0 (1 - Y0)^2 e^{-(a+b)/2} [I0(2x) - (1 - Y0) e^{-(a+b)/2}]
 #   q_rect = Q_C + Q_E,  e_rect q_rect = e_d Q_C + (1 - e_d) Q_E
 #   q_diag = 2 y^2 [1 + 2 y^2 - 4 y I0(x) + I0(2x)]
 #   e_diag q_diag = q_diag / 2 - 2 (1/2 - e_d) y^2 [I0(2x) - 1]
-# Evaluated once at 50 digits with mpmath 1.3.0 and rounded to float.
+# Evaluated once at 50 digits with mpmath 1.3.0 from the float inputs and
+# rounded to float.
 MA_RAZAVI_REFERENCE = {
-    (3.0, 7.0, 0.8, 3e-06, 0.05): (
+    (3.0, 7.0, 0.8, 3e-06, 0.05, 0.0): (
         [
             [0.006487757573139293, 0.001361929852130113, 1.0353899361150942e-06],
             [0.0014631641398914037, 0.00030715185689616386, 2.3348042171366956e-07],
@@ -385,7 +387,7 @@ MA_RAZAVI_REFERENCE = {
             [0.5, 0.5, 0.5],
         ],
     ),
-    (19.5, 19.5, 1.0, 1.5e-05, 0.019): (
+    (19.5, 19.5, 1.0, 1.5e-05, 0.019, 0.0): (
         [
             [1.5938905828731843e-05, 3.3332038992695623e-06, 1.684860756025881e-07],
             [3.3332038992695623e-06, 6.964892057868546e-07, 3.45301949838212e-08],
@@ -407,7 +409,7 @@ MA_RAZAVI_REFERENCE = {
             [0.5, 0.5, 0.5],
         ],
     ),
-    (0.0, 0.0, 0.5, 0.001, 0.0): (
+    (0.0, 0.0, 0.5, 0.001, 0.0, 0.0): (
         [
             [0.02215582580018219, 0.005466069484748841, 0.00041706429972235883],
             [0.005466069484748841, 0.0013462600532097883, 9.992671419972836e-05],
@@ -429,7 +431,50 @@ MA_RAZAVI_REFERENCE = {
             [0.5, 0.5, 0.5],
         ],
     ),
+    (3.0, 7.0, 0.8, 1e-05, 0.02, 0.05): (
+        [
+            [0.006490852927779378, 0.0013644889040338361, 3.4514806000647064e-06],
+            [0.001464678793994829, 0.0003079004287691861, 7.7852616674436e-07],
+            [1.5039064970170665e-06, 3.158311135260986e-07, 3.9999200004000007e-10],
+        ],
+        [
+            [0.016403008137811988, 0.010038134282480767, 0.008649924959951587],
+            [0.003332286511649051, 0.0007586625391975105, 0.00039076614467756064],
+            [0.0015014146917040035, 6.325316499281588e-05, 3.9999200004000007e-10],
+        ],
+        [
+            [0.06831188228521497, 0.06917487856544975, 0.5],
+            [0.06865555848163243, 0.06951753690748076, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+        [
+            [0.3166788303129044, 0.43819406158992563, 0.5],
+            [0.30460995900736637, 0.32281737521443954, 0.5],
+            [0.5, 0.5, 0.5],
+        ],
+    ),
 }
+
+
+def population_gains(config: SessionConfig) -> np.ndarray:
+    """Gains q and error-weighted gains q e of the population law, shape
+    (basis, [q, q e], class at A, class at B), rectilinear first."""
+    law = mdiqkd.session._outcome_law(config).reshape(3, 3, 4, 4, 8)
+    # Columns c12, c34 are psi+ and c14, c23 psi-.
+    psi_plus, psi_minus = law[..., 0] + law[..., 1], law[..., 2] + law[..., 3]
+    same_bit = np.eye(2, dtype=bool)
+    out = []
+    for basis in (0, 1):
+        cells = slice(2 * basis, 2 * basis + 2)
+        plus, minus = psi_plus[:, :, cells, cells], psi_minus[:, :, cells, cells]
+        # A rectilinear error is any coincidence on equal bits; a diagonal
+        # one is psi- on equal bits or psi+ on opposite bits.
+        if basis == 0:
+            wrong = (plus + minus)[:, :, same_bit].sum(axis=-1)
+        else:
+            wrong = minus[:, :, same_bit].sum(axis=-1) + plus[:, :, ~same_bit].sum(axis=-1)
+        out.append(((plus + minus).sum(axis=(2, 3)) / 4.0, wrong / 4.0))
+    return np.array(out)
 
 
 def test_outcome_law_matches_ma_razavi_closed_forms() -> None:
@@ -437,32 +482,33 @@ def test_outcome_law_matches_ma_razavi_closed_forms() -> None:
     # below 1, so each probability carries an absolute round-off of a few tens
     # of eps (at 19.5 dB the decoy-decoy q_diag is 2.7e-9 off in relative
     # terms); q and the error-weighted gain q e are compared at rel 1e-12 above
-    # an absolute floor of 32 eps.  Misalignment is set on link A only: the map
-    # of flips on both links to one e_d is not verified here.
+    # an absolute floor of 32 eps.  The last channel has misalignment on both
+    # links, which the closed forms see as the one e_d of a single flip.
     floor = 32 * np.finfo(float).eps
-    same_bit = np.eye(2, dtype=bool)
-    for (loss_a, loss_b, efficiency, dark, mis_a), reference in MA_RAZAVI_REFERENCE.items():
+    for key, reference in MA_RAZAVI_REFERENCE.items():
+        loss_a, loss_b, efficiency, dark, mis_a, mis_b = key
         config = make_config(
             channel_a=ChannelModel(loss_db=loss_a, misalignment=mis_a),
-            channel_b=ChannelModel(loss_db=loss_b),
+            channel_b=ChannelModel(loss_db=loss_b, misalignment=mis_b),
             detector=DetectorModel(efficiency=efficiency, dark_prob=dark),
         )
-        law = mdiqkd.session._outcome_law(config).reshape(3, 3, 4, 4, 8)
-        # Columns c12, c34 are psi+ and c14, c23 psi-.
-        psi_plus, psi_minus = law[..., 0] + law[..., 1], law[..., 2] + law[..., 3]
-        for basis, q_ref, e_ref in ((0, reference[0], reference[2]), (1, reference[1], reference[3])):
-            cells = slice(2 * basis, 2 * basis + 2)
-            plus, minus = psi_plus[:, :, cells, cells], psi_minus[:, :, cells, cells]
-            # A rectilinear error is any coincidence on equal bits; a diagonal
-            # one is psi- on equal bits or psi+ on opposite bits.
-            if basis == 0:
-                wrong = (plus + minus)[:, :, same_bit].sum(axis=-1)
-            else:
-                wrong = minus[:, :, same_bit].sum(axis=-1) + plus[:, :, ~same_bit].sum(axis=-1)
-            q = (plus + minus).sum(axis=(2, 3)) / 4.0
-            q_ref, e_ref = np.array(q_ref), np.array(e_ref)
+        for basis, (q, qe) in enumerate(population_gains(config)):
+            q_ref, e_ref = np.array(reference[basis]), np.array(reference[basis + 2])
             np.testing.assert_allclose(q, q_ref, rtol=1e-12, atol=floor)
-            np.testing.assert_allclose(wrong / 4.0, q_ref * e_ref, rtol=1e-12, atol=floor)
+            np.testing.assert_allclose(qe, q_ref * e_ref, rtol=1e-12, atol=floor)
+
+
+def test_swapping_the_links_transposes_the_population_gains() -> None:
+    # Exchanging the two senders' links exchanges the roles of A and B, so
+    # the gain of class pair (i, j) becomes that of (j, i), in both bases and
+    # for the error-weighted gains too.
+    link_a = ChannelModel(loss_db=3.0, misalignment=0.02, temporal_overlap=0.9)
+    link_b = ChannelModel(loss_db=9.0, misalignment=0.05, temporal_overlap=0.8)
+    forward = population_gains(make_config(channel_a=link_a, channel_b=link_b))
+    swapped = population_gains(make_config(channel_a=link_b, channel_b=link_a))
+    transposed = forward.swapaxes(-1, -2)
+    assert np.abs(forward - transposed).max() > 1e-4
+    np.testing.assert_allclose(swapped, transposed, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_count_tables_validation_and_copy() -> None:
